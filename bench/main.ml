@@ -727,11 +727,11 @@ let chaos_campaign () =
     ~measured:(if r.Campaign.passed then "passed" else "FAILED")
 
 (* ------------------------------------------------------------------ *)
-(* PROP: parallel valley-free propagation speedup (ROADMAP item) *)
+(* PROP: the valley-free engine's cost, and its table against the hook
+   engine's *)
 
 let prop () =
-  section
-    "PROP  Parallel propagation on the ~45K-AS world (E2/E3's engine cost)";
+  section "PROP  Valley-free propagation on the ~45K-AS world (E2/E3's engine cost)";
   let c = Lazy.force world_ctx in
   let g = c.world.Gen.graph in
   let origin = List.hd c.world.Gen.stubs in
@@ -739,11 +739,8 @@ let prop () =
   let anns = [ Propagation.announce origin p ] in
   Printf.printf
     "  one announcement propagated over %d ASes / %d edges; wall time is\n\
-    \  the best of 3 runs (host has %d recommended domains)\n"
-    (As_graph.n_ases g) (As_graph.n_edges g)
-    (Domain.recommended_domain_count ());
-  (* Wall clock, not [Sys.time]: CPU time sums over domains and would
-     hide any speedup. *)
+    \  the best of 3 runs\n"
+    (As_graph.n_ases g) (As_graph.n_edges g);
   let timed f =
     let best = ref infinity and result = ref None in
     for _ = 1 to 3 do
@@ -760,31 +757,17 @@ let prop () =
   let digest r =
     Digest.to_hex (Digest.string (Marshal.to_string (Propagation.table r) []))
   in
-  let seq_r, seq_t = timed (fun () -> Propagation.propagate_seq g anns) in
-  let seq_digest = digest seq_r in
-  paper_vs_measured ~label:"sequential reference wall time" ~paper:"n/a"
-    ~measured:(Printf.sprintf "%.1f ms" (1000.0 *. seq_t));
-  let all_identical = ref true in
-  List.iter
-    (fun d ->
-      let r, t = timed (fun () -> Propagation.propagate ~domains:d g anns) in
-      let identical = digest r = seq_digest in
-      if not identical then all_identical := false;
-      paper_vs_measured
-        ~label:(Printf.sprintf "propagation speedup at %d domains" d)
-        ~paper:">1.5x at 4 (multicore host)"
-        ~measured:
-          (Printf.sprintf "%.2fx (%.1f ms, table %s)" (seq_t /. t)
-             (1000.0 *. t)
-             (if identical then "identical" else "DIVERGED")))
-    [ 1; 2; 4; 8 ];
-  paper_vs_measured ~label:"route tables byte-identical across domain counts"
+  let r, t = timed (fun () -> Propagation.propagate g anns) in
+  paper_vs_measured ~label:"propagation wall time" ~paper:"n/a"
+    ~measured:(Printf.sprintf "%.1f ms" (1000.0 *. t));
+  let general = Propagation.propagate_general g anns in
+  paper_vs_measured ~label:"route table = propagate_general's"
     ~paper:"byte-identical"
-    ~measured:(if !all_identical then "yes" else "NO");
+    ~measured:(if digest r = digest general then "yes" else "NO");
   Printf.printf
     "  reachable: %d ASes; rounds/offers/adoptions are in the metrics\n\
-    \  snapshot (topo.propagation.*) and identical for every domain count.\n"
-    (Propagation.reachable_count seq_r)
+    \  snapshot (topo.propagation.*).\n"
+    (Propagation.reachable_count r)
 
 (* ------------------------------------------------------------------ *)
 (* MRT: the wire hot path — decode throughput, cursor vs eager, and

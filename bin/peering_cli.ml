@@ -479,7 +479,7 @@ module Scenario = struct
     in
     ignore (Peering_check.Check.check_world w)
 
-  let run ?(record_spans = false) ~seed ~domains () =
+  let run ?(record_spans = false) ~seed () =
     Metrics.reset ();
     Span.reset ();
     if record_spans then Sink.start_flight_recorder ()
@@ -489,7 +489,7 @@ module Scenario = struct
     (* Scenario 1: the quickstart experiment — controller, safety
        filter (one accepted announce, one blocked hijack, one
        withdrawal), route servers, propagation. *)
-    let params = { Testbed.default_params with Testbed.seed; domains } in
+    let params = { Testbed.default_params with Testbed.seed } in
     let t = Testbed.build ~params () in
     let engine = Testbed.engine t in
     Trace.attach trace ~clock:(fun () -> Engine.now engine);
@@ -557,15 +557,6 @@ let stats_cmd =
     let doc = "Emit the snapshot as a JSON document instead of a table." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let domains_arg =
-    let doc =
-      "Worker domains for the valley-free propagation engine (default: \
-       runtime-recommended). The route tables — and the \
-       topo.propagation.* metrics — are identical for every value; only \
-       wall time changes."
-    in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-  in
   let events_arg =
     let doc =
       "Also dump every retained trace event to $(docv) as a JSON array, \
@@ -606,8 +597,8 @@ let stats_cmd =
     Json.Writer.close w;
     close_out oc
   in
-  let run seed domains json events_file =
-    let trace, _prefix = Scenario.run ~seed ~domains () in
+  let run seed json events_file =
+    let trace, _prefix = Scenario.run ~seed () in
     Option.iter (dump_events trace) events_file;
     if json then
       let doc =
@@ -653,7 +644,7 @@ let stats_cmd =
        ~doc:
          "Run an instrumented scenario (experiment lifecycle + a wire BGP \
           session) and print every metric the testbed recorded")
-    Term.(const run $ seed_arg $ domains_arg $ json_arg $ events_arg)
+    Term.(const run $ seed_arg $ json_arg $ events_arg)
 
 let trace_cmd =
   let json_arg =
@@ -668,7 +659,7 @@ let trace_cmd =
   let module Sink = Peering_obs.Sink in
   let module Trace = Peering_sim.Trace in
   let run seed json =
-    let trace, prefix = Scenario.run ~record_spans:true ~seed ~domains:None () in
+    let trace, prefix = Scenario.run ~record_spans:true ~seed () in
     let spans = Sink.flight_spans () in
     let by_id = Hashtbl.create 64 in
     let child_tbl = Hashtbl.create 64 in

@@ -381,7 +381,11 @@ let rec ensure_round_scheduled t =
         ensure_round_scheduled t)
   end
 
-and run_round t =
+(* Each round's exports are coalesced: every prefix it changed
+   propagates once, when the round returns. *)
+and run_round t = Testbed.batch t.tb (fun () -> apply_round t)
+
+and apply_round t =
   let at = now t in
   let grants = Batcher.drain_round t.batcher in
   if grants <> [] then begin
@@ -455,7 +459,7 @@ and run_round t =
 
 (* ------------------------------------------------------------------ *)
 
-let teardown t s ~disposition ~reason =
+let release_tenant t s ~disposition ~reason =
   let at = now t in
   let dropped = Batcher.drop_tenant t.batcher s.ten_id in
   if dropped > 0 then Metrics.Counter.add m_ops_dropped dropped;
@@ -479,6 +483,11 @@ let teardown t s ~disposition ~reason =
   set_occupancy t;
   logf t "t=%.1f %s %s: %s (%d blocks back to pool, %d queued ops dropped)"
     at disposition s.ten_id reason (List.length prefixes) dropped
+
+(* Every prefix the tenant held is withdrawn at each of its sites;
+   each propagates once, when the teardown returns. *)
+let teardown t s ~disposition ~reason =
+  Testbed.batch t.tb (fun () -> release_tenant t s ~disposition ~reason)
 
 let evict t ~tenant ~reason =
   match find_tenant t tenant with
@@ -643,9 +652,10 @@ let pending t = Batcher.pending t.batcher
 
 let pump t =
   let before = t.applied in
-  while Batcher.pending t.batcher > 0 do
-    run_round t
-  done;
+  Testbed.batch t.tb (fun () ->
+      while Batcher.pending t.batcher > 0 do
+        run_round t
+      done);
   t.applied - before
 
 let rounds_run t = t.rounds

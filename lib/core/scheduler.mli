@@ -203,7 +203,8 @@ val evict : t -> tenant:string -> reason:string -> bool
 (** Revoke the lease now: pending requests are dropped, announcements
     withdrawn, safety claims released, prefixes returned to the pool.
     Returns false if the tenant is not running. Counted in
-    [core.sched.evicted]. *)
+    [core.sched.evicted]. Runs inside {!Testbed.batch}: each withdrawn
+    prefix propagates once, before [evict] returns. *)
 
 val complete : t -> tenant:string -> bool
 (** Voluntary teardown: same cleanup as {!evict} but counted in
@@ -234,7 +235,9 @@ val pending : t -> int
 val pump : t -> int
 (** Drain all queues synchronously (no virtual-time delay between
     rounds), returning the number of operations applied. Tests use
-    this; live runs let the engine fire the rounds instead. *)
+    this; live runs let the engine fire the rounds instead. Every
+    round, and the whole pump, runs inside {!Testbed.batch}: each
+    prefix the ops changed propagates once, before [pump] returns. *)
 
 val rounds_run : t -> int
 (** Batching rounds executed so far. *)

@@ -120,6 +120,10 @@ type client_conn = {
   mutable announced : (Asn.Set.t * Asn.t list) Prefix.Map.t;
 }
 
+(* One peer's Adj-RIB-In with its size, kept so Stats Reports and the
+   route counters are O(1). *)
+type adj_rib_in = { mutable routes : Route.t Prefix.Map.t; mutable count : int }
+
 type t = {
   engine : Engine.t;
   server_name : string;
@@ -130,7 +134,8 @@ type t = {
   export : export_event -> unit;
   mutable peer_list : peer list;
   (* peer asn -> (prefix -> route as learned) *)
-  learned : (int, Route.t Prefix.Map.t ref) Hashtbl.t;
+  learned : (int, adj_rib_in) Hashtbl.t;
+  mutable n_learned : int;  (* sum of the peers' counts *)
   mutable conns : client_conn list;
   mutable up : bool;
   mutable crashed_at : float option;
@@ -157,6 +162,7 @@ let create engine ~name ~asn ~safety ?(mux = Per_peer_sessions) ~export () =
     export;
     peer_list = [];
     learned = Hashtbl.create 64;
+    n_learned = 0;
     conns = [];
     up = true;
     crashed_at = None;
@@ -270,12 +276,12 @@ let peer_table t peer_asn =
   match Hashtbl.find_opt t.learned (Asn.to_int peer_asn) with
   | Some r -> r
   | None ->
-    let r = ref Prefix.Map.empty in
+    let r = { routes = Prefix.Map.empty; count = 0 } in
     Hashtbl.replace t.learned (Asn.to_int peer_asn) r;
     r
 
 let bmp_stats_peer t p =
-  let n = Prefix.Map.cardinal !(peer_table t p.peer_asn) in
+  let n = (peer_table t p.peer_asn).count in
   bmp_emit t
     (Bmp.Stats_report
        { peer = bmp_peer_hdr t p;
@@ -298,7 +304,8 @@ let bmp_sync t =
   List.iter
     (fun p ->
       bmp_peer_up t p;
-      Prefix.Map.iter (fun _ route -> bmp_route t p route) !(peer_table t p.peer_asn);
+      Prefix.Map.iter (fun _ route -> bmp_route t p route)
+        (peer_table t p.peer_asn).routes;
       bmp_stats_peer t p)
     t.peer_list
 
@@ -312,10 +319,9 @@ let replay_to conn t =
   | Some cb ->
     List.iter
       (fun p ->
-        let table = peer_table t p.peer_asn in
         Prefix.Map.iter
           (fun _ route -> cb.route_update ~peer:p.peer_asn route)
-          !table)
+          (peer_table t p.peer_asn).routes)
       t.peer_list
 
 let connect_client t ~experiment ?callbacks id =
@@ -441,7 +447,17 @@ let learn_route t ~peer ~path prefix =
       Route.make ~source ~learned_at:(Engine.now t.engine) prefix attrs
     in
     let table = peer_table t peer in
-    table := Prefix.Map.add prefix route !table;
+    let replaced = ref false in
+    table.routes <-
+      Prefix.Map.update prefix
+        (fun old ->
+          replaced := Option.is_some old;
+          Some route)
+        table.routes;
+    if not !replaced then begin
+      table.count <- table.count + 1;
+      t.n_learned <- t.n_learned + 1
+    end;
     Metrics.Counter.inc t.m.m_routes_learned;
     bmp_route t p route;
     t.bmp_changes <- t.bmp_changes + 1;
@@ -457,8 +473,10 @@ let learn_route t ~peer ~path prefix =
 
 let withdraw_learned t ~peer prefix =
   let table = peer_table t peer in
-  if t.up && Prefix.Map.mem prefix !table then begin
-    table := Prefix.Map.remove prefix !table;
+  if t.up && Prefix.Map.mem prefix table.routes then begin
+    table.routes <- Prefix.Map.remove prefix table.routes;
+    table.count <- table.count - 1;
+    t.n_learned <- t.n_learned - 1;
     (match peer_of_asn t peer with
     | Some p ->
       bmp_withdraw t p prefix;
@@ -486,6 +504,7 @@ let crash t =
        be re-learned after restart. Client registrations (and the
        safety registry) live in the controller and survive. *)
     Hashtbl.reset t.learned;
+    t.n_learned <- 0;
     Metrics.Counter.inc t.m.m_crashes;
     (* Every monitored session dies with the process: Peer Down per
        peer (reason 2, local system closed), then Termination. *)
@@ -534,11 +553,12 @@ let restart t =
       t.conns
   end
 
-let learned_route_count t =
-  Hashtbl.fold (fun _ r acc -> acc + Prefix.Map.cardinal !r) t.learned 0
+let learned_route_count t = t.n_learned
 
 let routes_from_peer t peer =
-  Prefix.Map.cardinal !(peer_table t peer)
+  match Hashtbl.find_opt t.learned (Asn.to_int peer) with
+  | Some table -> table.count
+  | None -> 0
 
 (* Canonical Adj-RIB-In dump: per-peer bindings sorted by peer ASN,
    empty tables dropped (a withdraw-only peer leaves an empty map
@@ -546,7 +566,7 @@ let routes_from_peer t peer =
    The monitoring station produces the identical structure from the
    feed alone, and the @bmp-diff harness compares Marshal digests. *)
 let adj_rib_dump t =
-  Hashtbl.fold (fun asn table acc -> (asn, !table) :: acc) t.learned []
+  Hashtbl.fold (fun asn table acc -> (asn, table.routes) :: acc) t.learned []
   |> List.filter (fun (_, m) -> not (Prefix.Map.is_empty m))
   |> List.map (fun (asn, m) ->
          ( asn,

@@ -105,7 +105,10 @@ val learn_route : t -> peer:Asn.t -> path:Asn.t list -> Prefix.t -> unit
 val withdraw_learned : t -> peer:Asn.t -> Prefix.t -> unit
 
 val learned_route_count : t -> int
+(** Routes in all peers' Adj-RIBs-In; O(1), kept on every change. *)
+
 val routes_from_peer : t -> Asn.t -> int
+(** Routes in the peer's Adj-RIB-In (0 for an unknown peer); O(1). *)
 
 val is_up : t -> bool
 (** False between {!crash} and {!restart}. *)

@@ -64,7 +64,10 @@ type t = {
   mutable leaks : (Asn.t * Asn.t) list;
   mutable rov : (Peering_bgp.Rpki.t * Asn.Set.t) option;
   mutable monitor_rounds : int;
-  domains : int option;
+  (* Prefixes whose inputs changed inside an open {!batch} and whose
+     [results] entry is stale until the batch closes or a reader asks. *)
+  mutable dirty : Prefix.Set.t;
+  mutable batch_depth : int;
 }
 
 let engine t = t.eng
@@ -123,8 +126,7 @@ let repropagate t prefix =
     let result =
       match t.leaks with
       | [] ->
-        Propagation.propagate ?deny:(rov_deny t) ~down:t.down
-          ?domains:t.domains (graph t) anns
+        Propagation.propagate ?deny:(rov_deny t) ~down:t.down (graph t) anns
       | leaks ->
         (* Active route leaks break valley-freeness, so the general
            fixpoint engine takes over until the leaks are cleared. *)
@@ -138,21 +140,44 @@ let repropagate t prefix =
     in
     t.results <- Prefix.Map.add prefix result t.results
 
-let repropagate_all t =
-  Prefix.Map.iter (fun prefix _ -> repropagate t prefix) t.active
+(* A changed prefix propagates at once outside a batch; inside one it
+   is marked and propagates once when the outermost batch returns. *)
+let invalidate t prefix =
+  if t.batch_depth > 0 then t.dirty <- Prefix.Set.add prefix t.dirty
+  else repropagate t prefix
+
+let invalidate_all t =
+  Prefix.Map.iter (fun prefix _ -> invalidate t prefix) t.active
+
+(* Readers call this before touching [t.results] for [prefix]. *)
+let refresh t prefix =
+  if Prefix.Set.mem prefix t.dirty then begin
+    t.dirty <- Prefix.Set.remove prefix t.dirty;
+    repropagate t prefix
+  end
+
+let flush t = Prefix.Set.iter (refresh t) t.dirty
+
+let batch t f =
+  t.batch_depth <- t.batch_depth + 1;
+  Fun.protect f ~finally:(fun () ->
+      t.batch_depth <- t.batch_depth - 1;
+      if t.batch_depth = 0 then flush t)
 
 let set_down t asn down =
   t.down <-
     (if down then Asn.Set.add asn t.down else Asn.Set.remove asn t.down);
-  repropagate_all t
+  invalidate_all t
 
 let set_leak_edges t edges =
   t.leaks <- edges;
-  repropagate_all t
+  invalidate_all t
 
 let leak_edges t = t.leaks
 
-let result_for t prefix = Prefix.Map.find_opt prefix t.results
+let result_for t prefix =
+  refresh t prefix;
+  Prefix.Map.find_opt prefix t.results
 
 let route_from t asn prefix =
   match result_for t prefix with
@@ -194,7 +219,7 @@ let remove_active t prefix src =
   t.active <-
     (if anns = [] then Prefix.Map.remove prefix t.active
      else Prefix.Map.add prefix anns t.active);
-  repropagate t prefix
+  invalidate t prefix
 
 let add_active t prefix src ann =
   let anns = Option.value (Prefix.Map.find_opt prefix t.active) ~default:[] in
@@ -203,7 +228,7 @@ let add_active t prefix src ann =
     @ [ { src; ann } ]
   in
   t.active <- Prefix.Map.add prefix anns t.active;
-  repropagate t prefix
+  invalidate t prefix
 
 let handle_export t site_name site_asn event =
   match event with
@@ -260,7 +285,8 @@ let build ?(params = default_params) () =
       leaks = [];
       rov = None;
       monitor_rounds = 0;
-      domains = params.domains
+      dirty = Prefix.Set.empty;
+      batch_depth = 0
     }
   in
   let next_site_idx = ref 0 in
@@ -392,11 +418,11 @@ let retract_external t ~origin prefix =
 
 let set_rov t ~roas ~adopters =
   t.rov <- Some (roas, adopters);
-  repropagate_all t
+  invalidate_all t
 
 let clear_rov t =
   t.rov <- None;
-  repropagate_all t
+  invalidate_all t
 
 (* ------------------------------------------------------------------ *)
 (* Traffic questions *)
@@ -443,6 +469,7 @@ let start_monitoring t ?vantages ~interval ~rounds () =
   let vantages = Option.value vantages ~default:(default_vantages t) in
   let rec round remaining () =
     if remaining > 0 then begin
+      flush t;
       Prefix.Map.iter
         (fun prefix result ->
           List.iter

@@ -29,9 +29,8 @@ type params = {
   bilateral_requests : bool;
       (** send peering requests to all open non-RS AMS-IX members *)
   domains : int option;
-      (** worker-domain bound handed to {!Propagation.propagate} on
-          every repropagation; [None] = the engine's default. The
-          propagation result is identical for every value. *)
+      (** Has no effect: propagation runs on one engine in the calling
+          domain. Kept so existing parameter records still build. *)
 }
 
 val default_params : params
@@ -80,7 +79,22 @@ val new_experiment :
 
 val connect_client : t -> Client.t -> sites:string list -> unit
 
-(** {2 Control plane} *)
+(** {2 Control plane}
+
+    Every change to a prefix's inputs — an export or withdrawal, an
+    injection, {!set_down}, {!set_leak_edges}, {!set_rov},
+    {!clear_rov} — re-propagates the prefixes it affects at once,
+    unless it happens inside {!batch}. *)
+
+val batch : t -> (unit -> 'a) -> 'a
+(** [batch t f] runs [f] with repropagation deferred: each prefix
+    whose inputs change during [f] is marked, and when the outermost
+    batch returns — normally or by an exception — each marked prefix
+    propagates once, on the final inputs. Batches nest; only the
+    outermost one propagates. Readers ({!result_for}, {!route_from},
+    {!reach_count}, {!path_from}, {!ingress_site}, {!ingress_peer},
+    monitoring rounds) propagate a marked prefix before reading it, so
+    no reader ever sees a stale table, inside a batch or out. *)
 
 val result_for : t -> Prefix.t -> Propagation.result option
 (** Latest propagation result for an announced prefix. *)
@@ -107,7 +121,8 @@ val inject_external :
 val retract_external : t -> origin:Asn.t -> Prefix.t -> unit
 
 val set_down : t -> Asn.t -> bool -> unit
-(** Fail / restore an AS; all active prefixes re-propagate. Site nodes
+(** Fail / restore an AS; all active prefixes re-propagate (at the
+    end of the enclosing {!batch}, if any). Site nodes
     are toggled automatically by each mux's status hook ({!Server.crash}
     / {!Server.restart}), so a dead PoP really disappears from the
     simulated Internet. *)
@@ -119,7 +134,7 @@ val set_leak_edges : t -> (Asn.t * Asn.t) list -> unit
     switches to {!Propagation.propagate_general}, whose
     {!Propagation.polluted} readout gives the leak's blast radius —
     the substrate of the chaos campaign's leak-storm drill. All active
-    prefixes re-propagate. *)
+    prefixes re-propagate, as for {!set_down}. *)
 
 val leak_edges : t -> (Asn.t * Asn.t) list
 (** Currently-injected leak edges, in injection order. *)
@@ -128,8 +143,8 @@ val set_rov :
   t -> roas:Peering_bgp.Rpki.t -> adopters:Asn.Set.t -> unit
 (** Enable RPKI route-origin validation at the [adopters]: they refuse
     announcements whose origin is [Invalid] against the ROA table.
-    All active prefixes re-propagate — the substrate for the secure-
-    BGP partial-deployment study of §2. *)
+    All active prefixes re-propagate, as for {!set_down} — the
+    substrate for the secure-BGP partial-deployment study of §2. *)
 
 val clear_rov : t -> unit
 

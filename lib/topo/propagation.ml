@@ -52,12 +52,13 @@ let better (a : route) (b : route) =
       | 0 -> a.ann_index < b.ann_index
       | c -> c < 0
 
-(* Observability: recorded only by the parallel engine ([propagate]);
-   [propagate_seq] is the unmetered reference. All four are counted on
-   the merging domain from quantities that do not depend on the shard
-   layout, so their values are identical for every domain count. *)
+(* Observability: recorded by [propagate] only; [propagate_general]
+   is the unmetered hook engine. A round is one work-queue generation:
+   the ASes queued when the previous generation finished (phases 1 and
+   3), or the phase-1 holders exporting across peer edges (phase 2).
+   Every value is a function of the inputs alone. *)
 let m_rounds =
-  Metrics.counter ~help:"Synchronized propagation rounds executed"
+  Metrics.counter ~help:"Propagation work-queue generations executed"
     "topo.propagation.rounds"
 
 let m_offers =
@@ -69,7 +70,7 @@ let m_adoptions =
     "topo.propagation.adoptions"
 
 let m_frontier =
-  Metrics.histogram ~help:"Frontier size at the start of each round"
+  Metrics.histogram ~help:"Work-queue length at the start of each generation"
     "topo.propagation.frontier"
 
 let denied deny asn ann = match deny with Some f -> f asn ann | None -> false
@@ -101,11 +102,12 @@ let sorted_holders (table : (int, route) Hashtbl.t) =
   |> List.sort Int.compare
 
 (* ------------------------------------------------------------------ *)
-(* Sequential reference engine: the classic three-phase work-queue
-   fixpoint. Kept verbatim (modulo sorted queue seeding) as the
-   oracle the parallel engine is differentially tested against. *)
+(* Valley-free engine: the classic three-phase work-queue fixpoint.
+   Queues are seeded from sorted snapshots and drained one generation
+   at a time, so the visit order, the table and the metrics depend on
+   the inputs alone. *)
 
-let propagate_seq ?deny ?(down = Asn.Set.empty) ?visit graph announcements =
+let propagate ?deny ?(down = Asn.Set.empty) ?visit graph announcements =
   let table : (int, route) Hashtbl.t = Hashtbl.create 1024 in
   let anns = Array.of_list announcements in
   let get asn = Hashtbl.find_opt table (Asn.to_int asn) in
@@ -115,13 +117,17 @@ let propagate_seq ?deny ?(down = Asn.Set.empty) ?visit graph announcements =
   let offer asn (r : route) =
     if is_down asn then false
     else if List.exists (Asn.equal asn) r.path then false (* loop *)
-    else if denied deny asn anns.(r.ann_index) then false
-    else
-      match get asn with
-      | Some cur when not (better r cur) -> false
-      | Some _ | None ->
-        Hashtbl.replace table (Asn.to_int asn) r;
-        true
+    else begin
+      Metrics.Counter.inc m_offers;
+      if denied deny asn anns.(r.ann_index) then false
+      else
+        match get asn with
+        | Some cur when not (better r cur) -> false
+        | Some _ | None ->
+          Hashtbl.replace table (Asn.to_int asn) r;
+          Metrics.Counter.inc m_adoptions;
+          true
+    end
   in
   seed_origins ~deny ~down graph table announcements;
   (* Export the route at [u] to neighbor [v] over [rel_uv] ([v]'s role
@@ -147,55 +153,69 @@ let propagate_seq ?deny ?(down = Asn.Set.empty) ?visit graph announcements =
         offer v { learned_over = Some import_rel; path = u :: r.path;
                   ann_index = r.ann_index }
   in
-  let seed_queue queue =
-    List.iter (fun asn -> Queue.push (Asn.of_int asn) queue)
-      (sorted_holders table)
+  let generation n =
+    Metrics.Counter.inc m_rounds;
+    Metrics.Histogram.observe m_frontier (float_of_int n)
+  in
+  let holders () = List.map Asn.of_int (sorted_holders table) in
+  (* From the current holders, export over [rel] to [next graph u] to a
+     fixpoint, one generation at a time. *)
+  let run_phase rel next =
+    let queue = Queue.create () in
+    List.iter (fun u -> Queue.push u queue) (holders ());
+    while not (Queue.is_empty queue) do
+      let n = Queue.length queue in
+      generation n;
+      for _ = 1 to n do
+        let u = Queue.pop queue in
+        note u;
+        List.iter
+          (fun v -> if try_export u v rel then Queue.push v queue)
+          (next graph u)
+      done
+    done
   in
   (* Phase 1: customer routes climb provider edges to a fixpoint. *)
-  let queue = Queue.create () in
-  seed_queue queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    note u;
-    List.iter
-      (fun p -> if try_export u p Relationship.Provider then Queue.push p queue)
-      (As_graph.providers graph u)
-  done;
+  run_phase Relationship.Provider As_graph.providers;
   (* Phase 2: one hop across peer edges. Snapshot holders first so a
      freshly imported peer route is not re-exported to peers. *)
+  let exporters = holders () in
+  generation (List.length exporters);
   List.iter
     (fun u ->
       List.iter
         (fun v -> ignore (try_export u v Relationship.Peer))
         (As_graph.peers_of graph u))
-    (List.map Asn.of_int (sorted_holders table));
+    exporters;
   (* Phase 3: descend customer edges to a fixpoint. *)
-  let queue = Queue.create () in
-  seed_queue queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    note u;
-    List.iter
-      (fun c -> if try_export u c Relationship.Customer then Queue.push c queue)
-      (As_graph.customers graph u)
-  done;
+  run_phase Relationship.Customer As_graph.customers;
   { table }
 
 (* ------------------------------------------------------------------ *)
 (* General engine: a single work-queue fixpoint with no phase
-   structure. The three-phase engines above are only correct for
+   structure. The three-phase engine above is only correct for
    valley-free worlds — a route that crosses a Gao–Rexford-violating
    edge after phase 3 would need to climb providers again, which the
    phased schedule never revisits. This engine makes no such
-   assumption: every adoption re-enqueues the adopter, and an export
+   assumption: every change re-enqueues the changed AS, and an export
    happens whenever Gao–Rexford allows it *or* the [leak] hook marks
    the directed edge as leaking (the exporter ignores export
    discipline; the importer still classifies the route by the real
    relationship). [export_filter] and [import_filter] refine edges
    further (prefix-windowed export policies, Peerlock-style import
-   filters). Terminates because adoption is strictly improving under
-   [better] and routes per AS are drawn from a finite set of loop-free
-   paths. Serves as the dynamic oracle for the static leak analysis in
+   filters).
+
+   A changed AS offers its new route to each neighbor. A neighbor
+   that learned its route from that AS treats the offer as an implicit
+   withdrawal and re-selects over all its neighbors' current offers:
+   the new route may be worse for it, or not offered at all (an AS
+   whose peer route improves to a longer customer route offers its
+   customers a longer path). Other neighbors adopt the offer only if
+   it beats their route. At the fixpoint every AS holds the best of
+   its neighbors' current offers, so without hooks the table is the
+   unique Gao–Rexford stable state [propagate] computes. Leaks can
+   make a world with no stable state; [max_steps] bounds the work.
+   Serves as the dynamic oracle for the static leak analysis in
    [Peering_check.Leak_analysis] (test/test_check_diff.ml). *)
 
 let propagate_general ?deny ?(down = Asn.Set.empty) ?leak ?export_filter
@@ -212,224 +232,86 @@ let propagate_general ?deny ?(down = Asn.Set.empty) ?leak ?export_filter
     match import_filter with Some f -> f v ~from r | None -> true
   in
   seed_origins ~deny ~down graph table announcements;
+  (* Origin routes never change; re-selection starts from them. *)
+  let origins = Hashtbl.copy table in
+  (* The route [u] currently offers [v] ([v]'s role from [u]'s
+     perspective is [rel_uv]), if [v] accepts it. *)
+  let offered u v rel_uv =
+    match get u with
+    | None -> None
+    | Some r ->
+      let ann = anns.(r.ann_index) in
+      let gr_allows =
+        Relationship.exports_to ~learned_from:r.learned_over rel_uv
+      in
+      let blocked_by_selective =
+        r.learned_over = None
+        &&
+        match ann.export_to with
+        | Some allowed -> not (Asn.Set.mem v allowed)
+        | None -> false
+      in
+      if
+        (gr_allows || leaks u v)
+        && (not (is_down u))
+        && (not (is_down v))
+        && (not blocked_by_selective)
+        && (not (List.exists (Asn.equal v) r.path))
+        && export_ok u v ann r
+      then
+        let cand =
+          { learned_over = Some (Relationship.invert rel_uv);
+            path = u :: r.path;
+            ann_index = r.ann_index
+          }
+        in
+        if import_ok v ~from:u cand && not (denied deny v ann) then Some cand
+        else None
+      else None
+  in
+  let beats c = function Some b -> better c b | None -> true in
+  let reselect v =
+    List.fold_left
+      (fun best (u, rel_vu) ->
+        match offered u v (Relationship.invert rel_vu) with
+        | Some c when beats c best -> Some c
+        | Some _ | None -> best)
+      (Hashtbl.find_opt origins (Asn.to_int v))
+      (As_graph.neighbors graph v)
+  in
+  let learned_from u (r : route) =
+    r.learned_over <> None
+    && match r.path with h :: _ -> Asn.equal h u | [] -> false
+  in
   let queue = Queue.create () in
+  let set v r =
+    (match r with
+    | Some r -> Hashtbl.replace table (Asn.to_int v) r
+    | None -> Hashtbl.remove table (Asn.to_int v));
+    Queue.push v queue
+  in
   List.iter
     (fun asn -> Queue.push (Asn.of_int asn) queue)
     (sorted_holders table);
+  let max_steps = 64 * (As_graph.n_ases graph + 1) in
+  let steps = ref 0 in
   while not (Queue.is_empty queue) do
+    incr steps;
+    if !steps > max_steps then
+      failwith "Propagation.propagate_general: no stable state";
     let u = Queue.pop queue in
-    match get u with
-    | None -> ()
-    | Some r ->
-      if not (is_down u) then
-        List.iter
-          (fun (v, rel_uv) ->
-            let ann = anns.(r.ann_index) in
-            let gr_allows =
-              Relationship.exports_to ~learned_from:r.learned_over rel_uv
-            in
-            let blocked_by_selective =
-              r.learned_over = None
-              &&
-              match ann.export_to with
-              | Some allowed -> not (Asn.Set.mem v allowed)
-              | None -> false
-            in
-            if
-              (gr_allows || leaks u v)
-              && (not (is_down v))
-              && (not blocked_by_selective)
-              && (not (List.exists (Asn.equal v) r.path))
-              && export_ok u v ann r
-            then begin
-              let cand =
-                { learned_over = Some (Relationship.invert rel_uv);
-                  path = u :: r.path;
-                  ann_index = r.ann_index
-                }
-              in
-              if
-                import_ok v ~from:u cand
-                && not (denied deny v ann)
-              then
-                match get v with
-                | Some cur when not (better cand cur) -> ()
-                | Some _ | None ->
-                  Hashtbl.replace table (Asn.to_int v) cand;
-                  Queue.push v queue
-            end)
-          (As_graph.neighbors graph u)
+    List.iter
+      (fun (v, rel_uv) ->
+        match get v with
+        | Some cur when learned_from u cur ->
+          let next = reselect v in
+          if next <> Some cur then set v next
+        | cur -> (
+          match offered u v rel_uv with
+          | Some c when beats c cur -> set v (Some c)
+          | Some _ | None -> ()))
+      (As_graph.neighbors graph u)
   done;
-  { table }
-
-(* ------------------------------------------------------------------ *)
-(* Parallel engine: the same three phases restructured as synchronized
-   rounds. Each round the frontier (ASes whose route changed last
-   round) is sharded across domains; every domain generates candidate
-   (asn, route) offers from the round-start table into a private,
-   locally sorted buffer; the main domain then k-way-merges the buffers
-   in the global candidate order — ascending target ASN, then the
-   [better] total order — and applies them sequentially. Because
-   [better] is a strict total order on the candidates a target can
-   receive (distinct candidates always differ in class, length,
-   next-hop or announcement index), the merged sequence — and therefore
-   the adopted table — is independent of the shard layout, so every
-   domain count produces the byte-identical table that the sequential
-   fixpoint converges to. User [deny] closures are only invoked on the
-   merging domain, never concurrently. *)
-
-(* Frontier shards below this size are not worth a domain spawn. *)
-let min_chunk = 128
-
-let compare_cand (ta, ra) (tb, rb) =
-  match Int.compare ta tb with
-  | 0 -> if better ra rb then -1 else if better rb ra then 1 else 0
-  | c -> c
-
-(* Merge per-domain sorted candidate arrays into one sorted array; the
-   per-shard sorting happened in parallel, so the sequential cost here
-   is linear in the number of surviving candidates. *)
-let kway_merge chunks =
-  match List.filter (fun a -> Array.length a > 0) chunks with
-  | [] -> [||]
-  | [ one ] -> one
-  | live ->
-    let chunks = Array.of_list live in
-    let k = Array.length chunks in
-    let total = Array.fold_left (fun n a -> n + Array.length a) 0 chunks in
-    let out = Array.make total chunks.(0).(0) in
-    let idx = Array.make k 0 in
-    for o = 0 to total - 1 do
-      let best = ref (-1) in
-      for j = 0 to k - 1 do
-        if
-          idx.(j) < Array.length chunks.(j)
-          && (!best < 0
-             || compare_cand chunks.(j).(idx.(j)) chunks.(!best).(idx.(!best))
-                < 0)
-        then best := j
-      done;
-      out.(o) <- chunks.(!best).(idx.(!best));
-      idx.(!best) <- idx.(!best) + 1
-    done;
-    out
-
-let propagate ?deny ?(down = Asn.Set.empty) ?domains graph announcements =
-  let n_domains =
-    match domains with
-    | Some d when d >= 1 -> d
-    | Some d ->
-      invalid_arg (Printf.sprintf "Propagation.propagate: domains = %d" d)
-    | None -> Domain.recommended_domain_count ()
-  in
-  let table : (int, route) Hashtbl.t = Hashtbl.create 1024 in
-  let anns = Array.of_list announcements in
-  let is_down asn = Asn.Set.mem asn down in
-  seed_origins ~deny ~down graph table announcements;
-  (* Candidate generation for frontier slots [lo, hi): pure reads of
-     the round-start [table] and [graph], safe to run on worker
-     domains. Returns the shard's candidates sorted in the global
-     order, plus the number of offers considered (pre-filter, so the
-     metric is shard-layout independent). Candidates that do not beat
-     the target's round-start route are dropped here: [better] is a
-     total order, so a candidate that loses to the current route also
-     loses to any better route adopted during the merge. *)
-  let gen_range rel neighbors (frontier : Asn.t array) lo hi =
-    let considered = ref 0 in
-    let acc = ref [] in
-    let import_rel = Relationship.invert rel in
-    for i = lo to hi - 1 do
-      let u = frontier.(i) in
-      match Hashtbl.find_opt table (Asn.to_int u) with
-      | None -> ()
-      | Some r ->
-        if
-          (not (is_down u))
-          && Relationship.exports_to ~learned_from:r.learned_over rel
-        then begin
-          let blocked_by_selective v =
-            r.learned_over = None
-            &&
-            match anns.(r.ann_index).export_to with
-            | Some allowed -> not (Asn.Set.mem v allowed)
-            | None -> false
-          in
-          List.iter
-            (fun v ->
-              if
-                (not (is_down v))
-                && (not (blocked_by_selective v))
-                && not (List.exists (Asn.equal v) r.path)
-              then begin
-                incr considered;
-                let cand =
-                  { learned_over = Some import_rel; path = u :: r.path;
-                    ann_index = r.ann_index }
-                in
-                match Hashtbl.find_opt table (Asn.to_int v) with
-                | Some cur when not (better cand cur) -> ()
-                | Some _ | None -> acc := (Asn.to_int v, cand) :: !acc
-              end)
-            (neighbors graph u)
-        end
-    done;
-    let arr = Array.of_list !acc in
-    Array.sort compare_cand arr;
-    (arr, !considered)
-  in
-  (* One synchronized round: shard, generate, merge, apply. Returns the
-     ASes whose route changed, ascending, for the next frontier. *)
-  let round rel neighbors (frontier : Asn.t array) =
-    Metrics.Counter.inc m_rounds;
-    Metrics.Histogram.observe m_frontier (float_of_int (Array.length frontier));
-    let n = Array.length frontier in
-    let d = min n_domains (max 1 (n / min_chunk)) in
-    let shards =
-      if d <= 1 then [ gen_range rel neighbors frontier 0 n ]
-      else begin
-        let per = (n + d - 1) / d in
-        let workers =
-          List.init (d - 1) (fun k ->
-              let lo = (k + 1) * per and hi = min n ((k + 2) * per) in
-              Domain.spawn (fun () -> gen_range rel neighbors frontier lo hi))
-        in
-        let first = gen_range rel neighbors frontier 0 (min n per) in
-        first :: List.map Domain.join workers
-      end
-    in
-    List.iter (fun (_, c) -> Metrics.Counter.add m_offers c) shards;
-    let merged = kway_merge (List.map fst shards) in
-    let changed = ref [] in
-    Array.iter
-      (fun (t, r) ->
-        if not (denied deny (Asn.of_int t) anns.(r.ann_index)) then
-          match Hashtbl.find_opt table t with
-          | Some cur when not (better r cur) -> ()
-          | Some _ | None ->
-            Hashtbl.replace table t r;
-            Metrics.Counter.inc m_adoptions;
-            (* [merged] is sorted by target, so duplicates are adjacent. *)
-            (match !changed with
-            | t' :: _ when t' = t -> ()
-            | _ -> changed := t :: !changed))
-      merged;
-    List.rev_map Asn.of_int !changed |> Array.of_list
-  in
-  let run_phase rel neighbors init =
-    let frontier = ref init in
-    while Array.length !frontier > 0 do
-      frontier := round rel neighbors !frontier
-    done
-  in
-  let holders () =
-    Array.of_list (List.map Asn.of_int (sorted_holders table))
-  in
-  (* Phase 1: customer routes climb provider edges to a fixpoint. *)
-  run_phase Relationship.Provider As_graph.providers (holders ());
-  (* Phase 2: one hop across peer edges from the phase-1 holders. *)
-  ignore (round Relationship.Peer As_graph.peers_of (holders ()));
-  (* Phase 3: descend customer edges to a fixpoint. *)
-  run_phase Relationship.Customer As_graph.customers (holders ());
   { table }
 
 (* ------------------------------------------------------------------ *)

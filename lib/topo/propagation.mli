@@ -8,14 +8,13 @@
     customer routes climb provider links, cross one peer link, then
     descend to customers.
 
-    Two engines compute the same fixpoint. {!propagate} restructures
-    the phase-1/phase-3 work-queue into synchronized rounds whose
-    frontier is sharded across OCaml 5 domains; candidates are merged
-    in a stable total order (ascending target ASN, then {!better}), so
-    the adopted table is byte-identical for every domain count —
-    including one — and to the sequential reference {!propagate_seq},
-    which is kept as the oracle for the differential test harness
-    ([test/test_propagation_diff.ml]).
+    {!propagate} is the valley-free engine: a work-queue fixpoint per
+    phase, seeded in ascending ASN order so its visit order, table and
+    metrics are functions of the inputs alone. {!propagate_general} is
+    the hook engine for worlds that are not valley-free (route leaks,
+    export and import filters); without hooks it reaches the same
+    table, which makes it the oracle of the differential harness
+    ([test/test_propagation_diff.ml], alias [@propagation-diff]).
 
     This engine is what stands in for "the live Internet" reacting to
     PEERING announcements: route injection, selective announcements,
@@ -56,7 +55,7 @@ type route = {
 val class_pref : Relationship.t option -> int
 (** Gao–Rexford preference class: origin 3 > customer 2 > peer 1 >
     provider 0. Exposed so tests can check the total-order laws the
-    parallel merge depends on. *)
+    unique fixpoint depends on. *)
 
 val better : route -> route -> bool
 (** [better a b] iff [a] is strictly preferred over [b]: higher
@@ -74,39 +73,22 @@ type result
 val propagate :
   ?deny:(Asn.t -> announcement -> bool) ->
   ?down:Asn.Set.t ->
-  ?domains:int ->
-  As_graph.t ->
-  announcement list ->
-  result
-(** Run propagation with the round-synchronized parallel engine.
-    [deny asn ann] lets an AS refuse a specific announcement on import
-    (modelling filters); ASes in [down] neither import nor export
-    anything (modelling failures). Announcements must all carry the
-    same prefix or covering/covered prefixes; each is propagated
-    independently and ASes pick their single best.
-
-    [domains] (default [Domain.recommended_domain_count ()], min 1)
-    bounds the worker domains used per round; the resulting table is
-    identical for every value. Candidate generation runs on worker
-    domains and only reads the graph and the round-start table; the
-    [deny] closure is invoked exclusively on the calling domain, so it
-    needs no synchronization. Records [topo.propagation.*] metrics
-    (rounds, offers, adoptions, frontier histogram) whose values are
-    also independent of [domains]. *)
-
-val propagate_seq :
-  ?deny:(Asn.t -> announcement -> bool) ->
-  ?down:Asn.Set.t ->
   ?visit:(Asn.t -> unit) ->
   As_graph.t ->
   announcement list ->
   result
-(** The sequential three-phase work-queue reference engine. Same
-    semantics and same result table as {!propagate}; kept as the oracle
-    for differential testing and records no metrics. Work queues are
-    seeded in ascending ASN order so the visit order is a function of
-    the inputs alone, not of hash-table layout. [visit] is a test hook
-    called on every AS dequeued in phases 1 and 3, in order. *)
+(** Run valley-free propagation. [deny asn ann] lets an AS refuse a
+    specific announcement on import (modelling filters); ASes in
+    [down] neither import nor export anything (modelling failures).
+    Announcements must all carry the same prefix or covering/covered
+    prefixes; each is propagated independently and ASes pick their
+    single best. [visit] is a test hook called on every AS dequeued in
+    phases 1 and 3, in order.
+
+    Records [topo.propagation.rounds] (work-queue generations; the
+    peer phase counts as one), [.offers] (candidates reaching an up,
+    loop-free neighbor), [.adoptions] and the [.frontier] histogram
+    (queue length at the start of each generation). *)
 
 val propagate_general :
   ?deny:(Asn.t -> announcement -> bool) ->
@@ -127,13 +109,19 @@ val propagate_general :
     [export_filter u v ann r] refines exports further (return [false]
     to suppress — prefix-windowed export policies); [import_filter v
     ~from r] lets the importer reject a candidate (Peerlock-style
-    filters; [r.path] starts with [from]). On valley-free inputs (no
-    [leak]/filters) the fixpoint equals {!propagate_seq}'s table.
-    Terminates because adoption is strictly improving under {!better}.
+    filters; [r.path] starts with [from]). An AS whose route was
+    learned from a neighbor that changes re-selects over all its
+    neighbors' current offers (an implicit withdrawal), so every AS
+    ends holding the best route its neighbors offer. On valley-free
+    inputs (no [leak]/filters) that is the unique Gao–Rexford stable
+    state, and the table equals {!propagate}'s — the claim the
+    [@propagation-diff] harness checks with this engine as the oracle.
+    Leaks can make a world with no stable state: after
+    64 × (ASes + 1) work-queue steps it raises [Failure].
     Deterministic: the work queue is seeded in ascending ASN order and
-    neighbors are visited in ascending ASN order. This engine is the
-    dynamic oracle the static leak analysis is differentially tested
-    against ([test/test_check_diff.ml], alias [@check-diff]). *)
+    neighbors are visited in ascending ASN order. This engine is also
+    the dynamic oracle the static leak analysis is differentially
+    tested against ([test/test_check_diff.ml], alias [@check-diff]). *)
 
 val route_at : result -> Asn.t -> route option
 (** The route the AS selected, [None] if unreachable. *)
@@ -167,8 +155,8 @@ val routes_via : result -> Asn.t -> Asn.t list
 val polluted : As_graph.t -> result -> Asn.t list
 (** ASes whose selected route crossed a Gao–Rexford-violating export —
     the class word of the full path read self→origin leaves the legal
-    shape Provider* Peer? Customer*. Empty on tables produced by the
-    valley-free engines; after {!propagate_general} with [leak] edges
+    shape Provider* Peer? Customer*. Empty on tables produced by
+    {!propagate}; after {!propagate_general} with [leak] edges
     it is the leak's blast radius, the ground truth the static
     analysis' taint set must cover. Ascending. Unlabelled adjacencies
     (poisoned suffixes) end each walk. *)

@@ -234,7 +234,7 @@ let scenario_windowed seed world =
         w (Propagation.announce origin p))
 
 (* With no overrides at all, the general engine must agree exactly
-   with the sequential three-phase oracle, and the static analysis
+   with the three-phase valley-free engine, and the static analysis
    must report nothing tainted. *)
 let scenario_no_leak seed world =
   let g = world.Gen.graph in
@@ -245,11 +245,11 @@ let scenario_no_leak seed world =
   | Some origin ->
     let ann = announcement_for g origin in
     let general = Propagation.propagate_general g [ ann ] in
-    let seq = Propagation.propagate_seq g [ ann ] in
+    let valley_free = Propagation.propagate g [ ann ] in
     Alcotest.(check bool)
-      (Printf.sprintf "general = seq on leak-free world (seed %d)" seed)
+      (Printf.sprintf "general = propagate on leak-free world (seed %d)" seed)
       true
-      (Propagation.table general = Propagation.table seq);
+      (Propagation.table general = Propagation.table valley_free);
     Alcotest.(check (list int))
       (Printf.sprintf "nothing polluted without leaks (seed %d)" seed)
       []

@@ -1319,6 +1319,252 @@ let test_sched_policy_composition () =
   check Alcotest.int "rejected policy not installed" 1
     (List.length (Scheduler.policy sched "pol-a"))
 
+(* ------------------------------------------------------------------ *)
+(* Coalesced repropagation: Testbed.batch *)
+
+(* The default site mix on the small world: AMS-IX, Phoenix-IX and
+   three universities. *)
+let five_site =
+  lazy
+    (Testbed.build
+       ~params:
+         { small_params with
+           Testbed.university_sites =
+             [ ("gatech01", 2); ("usc01", 2); ("ufmg01", 2) ]
+         }
+       ())
+
+let rounds () =
+  Peering_obs.Metrics.counter_value "topo.propagation.rounds"
+
+let table_digest t p =
+  match Testbed.result_for t p with
+  | None -> "none"
+  | Some r ->
+    Digest.to_hex
+      (Digest.string
+         (Marshal.to_string (Peering_topo.Propagation.table r) []))
+
+(* A fresh experiment's client, connected to every site. *)
+let batch_client t id =
+  let exp =
+    match Testbed.new_experiment t ~id () with
+    | Ok e -> e
+    | Error e -> Alcotest.fail e
+  in
+  let c = Client.create ~id:("c-" ^ id) ~experiment:exp () in
+  Testbed.connect_client t c
+    ~sites:(List.map Testbed.site_name (Testbed.sites t));
+  (c, List.hd exp.Experiment.prefixes)
+
+let test_batch_nested () =
+  let t = Lazy.force five_site in
+  let c, p = batch_client t "batch-nested" in
+  let r0 = rounds () in
+  Testbed.batch t (fun () ->
+      Testbed.batch t (fun () -> ignore (Client.announce c p));
+      check Alcotest.int "the inner batch defers" r0 (rounds ());
+      ignore (Client.announce c ~servers:[ "gatech01" ] p);
+      check Alcotest.int "still deferred in the outer batch" r0 (rounds ()));
+  check Alcotest.bool "the outer batch propagated" true (rounds () > r0);
+  let r1 = rounds () in
+  check Alcotest.bool "reachable" true (Testbed.reach_count t p > 0);
+  check Alcotest.int "reading after the batch propagates nothing" r1
+    (rounds ());
+  Client.withdraw c p;
+  check Alcotest.int "withdrawn" 0 (Testbed.reach_count t p)
+
+let test_batch_raises () =
+  let t = Lazy.force five_site in
+  let c, p = batch_client t "batch-raises" in
+  let r0 = rounds () in
+  (try
+     Testbed.batch t (fun () ->
+         ignore (Client.announce c p);
+         raise Exit)
+   with Exit -> ());
+  check Alcotest.bool "propagated on the way out" true (rounds () > r0);
+  let r1 = rounds () in
+  check Alcotest.bool "reachable" true (Testbed.reach_count t p > 0);
+  check Alcotest.int "reading propagates nothing" r1 (rounds ());
+  Client.withdraw c p
+
+let test_batch_read_inside () =
+  let t = Lazy.force five_site in
+  let c, p = batch_client t "batch-read" in
+  Testbed.batch t (fun () ->
+      ignore (Client.announce c p);
+      check Alcotest.bool "fresh after the announce" true
+        (Testbed.reach_count t p > 0);
+      let provider = List.hd (Testbed.peers_at t "gatech01") in
+      check Alcotest.bool "its route is fresh too" true
+        (Testbed.path_from t provider p <> None);
+      Client.withdraw c p;
+      check Alcotest.int "fresh after the withdrawal" 0
+        (Testbed.reach_count t p));
+  check Alcotest.int "withdrawn after the batch" 0 (Testbed.reach_count t p)
+
+(* Failures, ROV and leaks set inside a batch wait for it to close,
+   then give the table the same change gives outside one. *)
+let test_batch_world_changes () =
+  let t = Lazy.force five_site in
+  let c, p = batch_client t "batch-world" in
+  ignore (Client.announce c p);
+  let base = table_digest t p in
+  let provider = List.hd (Testbed.peers_at t "gatech01") in
+  (* A ROA for another origin makes PEERING's route Invalid at the
+     adopters. *)
+  let roas =
+    Peering_bgp.Rpki.add_roa Peering_bgp.Rpki.empty ~prefix:p (asn 64500)
+  in
+  let w = Testbed.world t in
+  let g = Testbed.graph t in
+  (* A transit AS leaking its provider route to another provider. *)
+  let leak =
+    List.concat_map
+      (fun u ->
+        List.map (fun v -> (u, v)) (Peering_topo.As_graph.providers g u))
+      w.Gen.small_transit
+    |> List.find (fun e ->
+           Testbed.set_leak_edges t [ e ];
+           let d = table_digest t p in
+           Testbed.set_leak_edges t [];
+           d <> base)
+  in
+  let changes =
+    [ ( "set_down",
+        (fun () -> Testbed.set_down t provider true),
+        fun () -> Testbed.set_down t provider false );
+      ( "set_rov",
+        (fun () ->
+          Testbed.set_rov t ~roas
+            ~adopters:(Asn.Set.of_list w.Gen.large_transit)),
+        fun () -> Testbed.clear_rov t );
+      ( "set_leak_edges",
+        (fun () -> Testbed.set_leak_edges t [ leak ]),
+        fun () -> Testbed.set_leak_edges t [] )
+    ]
+  in
+  let apply_all () = List.iter (fun (_, apply, _) -> apply ()) changes in
+  let undo_all () = List.iter (fun (_, _, undo) -> undo ()) changes in
+  List.iter
+    (fun (name, apply, undo) ->
+      apply ();
+      let expected = table_digest t p in
+      undo ();
+      check Alcotest.string (name ^ ": undone") base (table_digest t p);
+      check Alcotest.bool (name ^ ": changes the table") true
+        (expected <> base);
+      let r0 = rounds () in
+      Testbed.batch t (fun () ->
+          apply ();
+          check Alcotest.int (name ^ ": deferred") r0 (rounds ()));
+      check Alcotest.string (name ^ ": batched") expected (table_digest t p);
+      Testbed.batch t undo;
+      check Alcotest.string (name ^ ": undone in a batch") base
+        (table_digest t p))
+    changes;
+  apply_all ();
+  let expected = table_digest t p in
+  undo_all ();
+  Testbed.batch t apply_all;
+  check Alcotest.string "all three batched" expected (table_digest t p);
+  Testbed.batch t undo_all;
+  check Alcotest.string "all three undone" base (table_digest t p);
+  Client.withdraw c p
+
+(* Five sites announcing one prefix inside a batch cost what the last
+   of five one-by-one announcements costs: one propagation of the
+   five-origin set. *)
+let test_batch_five_sites () =
+  let t = Lazy.force five_site in
+  let c, p = batch_client t "batch-five" in
+  let sites = Client.servers c in
+  check Alcotest.int "five sites" 5 (List.length sites);
+  let deltas =
+    List.map
+      (fun s ->
+        let r0 = rounds () in
+        ignore (Client.announce c ~servers:[ s ] p);
+        rounds () - r0)
+      sites
+  in
+  let last = List.nth deltas 4 in
+  let one_by_one = table_digest t p in
+  let r0 = rounds () in
+  Testbed.batch t (fun () -> Client.withdraw c p);
+  check Alcotest.int "a batched full withdrawal propagates nothing" r0
+    (rounds ());
+  check Alcotest.int "withdrawn" 0 (Testbed.reach_count t p);
+  Engine.run_for (Testbed.engine t) 7200.0;
+  let r0 = rounds () in
+  Testbed.batch t (fun () ->
+      List.iter
+        (fun (_, r) -> check Alcotest.bool "accepted" true (Result.is_ok r))
+        (Client.announce c p));
+  check Alcotest.int "one propagation's worth of rounds" last (rounds () - r0);
+  check Alcotest.bool "one by one cost more" true
+    (List.fold_left ( + ) 0 deltas > last);
+  check Alcotest.string "same table as one by one" one_by_one
+    (table_digest t p);
+  Client.withdraw c p
+
+(* The per-peer Adj-RIB-In counts are kept on every change; they must
+   equal the tables' cardinalities through seeded learn / replace /
+   withdraw / crash / restart sequences. *)
+let test_server_route_counts () =
+  let e = Engine.create () in
+  let safety =
+    Safety.create ~peering_asn:(asn 47065) ~owns:(fun _ -> true) ()
+  in
+  let srv =
+    Server.create e ~name:"mux" ~asn:(asn 47065) ~safety
+      ~export:(fun _ -> ()) ()
+  in
+  let peers = [ asn 100; asn 200; asn 300 ] in
+  List.iter (fun p -> Server.add_peer srv ~kind:Server.Transit p) peers;
+  Server.set_bmp_sink srv (Some ignore);
+  let prefixes =
+    List.init 30 (fun i -> pfx (Printf.sprintf "10.%d.0.0/16" i))
+  in
+  let peak = ref 0 in
+  let check_counts what =
+    let dump = Server.adj_rib_dump srv in
+    let total = ref 0 in
+    List.iter
+      (fun p ->
+        let n =
+          match List.assoc_opt (Asn.to_int p) dump with
+          | Some bindings -> List.length bindings
+          | None -> 0
+        in
+        total := !total + n;
+        check Alcotest.int (what ^ ": peer count") n
+          (Server.routes_from_peer srv p))
+      peers;
+    check Alcotest.int (what ^ ": total") !total
+      (Server.learned_route_count srv);
+    peak := max !peak !total
+  in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| 0xc0de; seed |] in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      for step = 1 to 400 do
+        let peer = pick peers and prefix = pick prefixes in
+        (match Random.State.int rng 60 with
+        | 0 -> Server.crash srv
+        | 1 | 2 | 3 -> Server.restart srv
+        | n when n < 40 ->
+          Server.learn_route srv ~peer
+            ~path:[ peer; asn (1000 + Random.State.int rng 3) ]
+            prefix
+        | _ -> Server.withdraw_learned srv ~peer prefix);
+        check_counts (Printf.sprintf "seed %d step %d" seed step)
+      done)
+    [ 1; 2; 3; 4; 5 ];
+  check Alcotest.bool "tables filled up between crashes" true (!peak > 30)
+
 let () =
   Alcotest.run "core"
     [ ( "controller",
@@ -1356,7 +1602,15 @@ let () =
           tc "MOAS hijack study" `Quick test_testbed_moas_hijack_study;
           tc "client receives routes" `Quick test_testbed_client_receives_routes;
           tc "session stats" `Quick test_server_session_stats;
-          tc "ignore peer" `Quick test_client_ignore_peer
+          tc "ignore peer" `Quick test_client_ignore_peer;
+          tc "server route counts" `Quick test_server_route_counts
+        ] );
+      ( "batch",
+        [ tc "nested batches" `Quick test_batch_nested;
+          tc "flush when the batch raises" `Quick test_batch_raises;
+          tc "read inside a batch is fresh" `Quick test_batch_read_inside;
+          tc "down, rov and leaks in a batch" `Quick test_batch_world_changes;
+          tc "five-site announce" `Quick test_batch_five_sites
         ] );
       ( "portal",
         [ tc "accounts" `Quick test_portal_accounts;

@@ -1,11 +1,15 @@
-(* Differential harness for the parallel propagation engine.
+(* Differential harness for the valley-free propagation engine.
 
-   [Propagation.propagate] (round-synchronized, domain-sharded) must
-   produce a route table byte-identical to the sequential reference
-   [Propagation.propagate_seq] — route by route: path, learned_over,
-   ann_index — for every seed, world size and domain count, including
-   runs exercising [?deny], [?export_to], [~down], multi-origin anycast
-   and path poisoning. The seed sweep widens without code changes via
+   [Propagation.propagate] (three-phase work queue) must produce a
+   route table byte-identical to the hook engine
+   [Propagation.propagate_general] run without hooks — route by route:
+   path, learned_over, ann_index — for every seed and world size,
+   including runs exercising [?deny], [?export_to], [~down],
+   multi-origin anycast and path poisoning; every table must also be a
+   stable state, checked from first principles. A second family drives
+   a small [Testbed] with a seeded stream of batched ops and checks
+   every prefix's coalesced result against a fresh propagation of the
+   same inputs. The seed sweep widens without code changes via
    PROPAGATION_DIFF_SEEDS=<n> (default 10 seeds). *)
 
 open Peering_net
@@ -24,7 +28,6 @@ let n_seeds =
       invalid_arg "PROPAGATION_DIFF_SEEDS must be a positive integer")
 
 let seeds = List.init n_seeds (fun i -> i + 1)
-let domain_counts = [ 1; 2; 4; 8 ]
 
 (* Three world sizes: ~100, ~900 and ~3000 ASes. *)
 let sizes =
@@ -66,22 +69,22 @@ let route_str (rt : Propagation.route) =
     rt.Propagation.ann_index
 
 (* Full-table equality, with the first diverging ASN in the failure. *)
-let check_tables ~what seq par =
-  let ts = Propagation.table seq and tp = Propagation.table par in
+let check_tables ~what expected actual =
+  let ts = Propagation.table expected and tp = Propagation.table actual in
   let rec cmp = function
     | [], [] -> ()
     | (a, ra) :: _, [] ->
-      Alcotest.failf "%s: %s=%s only in sequential table" what
+      Alcotest.failf "%s: %s=%s only in the oracle's table" what
         (Asn.to_string a) (route_str ra)
     | [], (a, ra) :: _ ->
-      Alcotest.failf "%s: %s=%s only in parallel table" what
+      Alcotest.failf "%s: %s=%s only in the engine's table" what
         (Asn.to_string a) (route_str ra)
     | (a, ra) :: rest_a, (b, rb) :: rest_b ->
       if not (Asn.equal a b) then
         Alcotest.failf "%s: holder sets diverge at %s vs %s" what
           (Asn.to_string a) (Asn.to_string b)
       else if ra <> rb then
-        Alcotest.failf "%s: %s selected %s sequentially but %s in parallel"
+        Alcotest.failf "%s: %s selected %s in the oracle but %s in the engine"
           what (Asn.to_string a) (route_str ra) (route_str rb)
       else cmp (rest_a, rest_b)
   in
@@ -131,14 +134,9 @@ let diff_one_world params seed =
   let g = w.Gen.graph in
   List.iter
     (fun (name, deny, down, anns) ->
-      let seq = Propagation.propagate_seq ?deny ~down g anns in
-      List.iter
-        (fun domains ->
-          let par = Propagation.propagate ?deny ~down ~domains g anns in
-          check_tables
-            ~what:(Printf.sprintf "seed %d %s domains=%d" seed name domains)
-            seq par)
-        domain_counts)
+      let oracle = Propagation.propagate_general ?deny ~down g anns in
+      let engine = Propagation.propagate ?deny ~down g anns in
+      check_tables ~what:(Printf.sprintf "seed %d %s" seed name) oracle engine)
     (scenarios w)
 
 let test_differential params () =
@@ -224,6 +222,84 @@ let check_table_properties ~what g anns r =
   if not (is_sorted (Propagation.reachable r)) then
     Alcotest.failf "%s: reachable not sorted" what
 
+(* Stability, checked from first principles: every AS holds exactly
+   the best route on offer to it — its own origination or a neighbor's
+   current route, exported under Gao–Rexford discipline or over a
+   leaking edge, selective export, failures, loops and [deny] applied.
+   A table that passes is a stable state of the routing system, which
+   is what both engines claim to compute. *)
+let check_stable ~what ?deny ~down ?(leak = fun _ _ -> false) g anns r =
+  let anns = Array.of_list anns in
+  let is_down a = Asn.Set.mem a down in
+  let denied a ann = match deny with Some f -> f a ann | None -> false in
+  let best a b =
+    match (a, b) with
+    | Some x, Some y -> if Propagation.better y x then b else a
+    | None, y -> y
+    | x, None -> x
+  in
+  let originated v =
+    Array.to_list anns
+    |> List.mapi (fun i (ann : Propagation.announcement) ->
+           if
+             Asn.equal ann.Propagation.origin v
+             && (not (List.exists (Asn.equal v) ann.Propagation.path_suffix))
+             && not (denied v ann)
+           then
+             Some
+               { Propagation.learned_over = None;
+                 path = ann.Propagation.path_suffix;
+                 ann_index = i
+               }
+           else None)
+    |> List.fold_left best None
+  in
+  let offer u v rel_uv =
+    match Propagation.route_at r u with
+    | None -> None
+    | Some ru ->
+      let ann = anns.(ru.Propagation.ann_index) in
+      let selective_blocks =
+        ru.Propagation.learned_over = None
+        &&
+        match ann.Propagation.export_to with
+        | Some allowed -> not (Asn.Set.mem v allowed)
+        | None -> false
+      in
+      if
+        (Relationship.exports_to ~learned_from:ru.Propagation.learned_over
+           rel_uv
+        || leak u v)
+        && (not (is_down u))
+        && (not selective_blocks)
+        && (not (List.exists (Asn.equal v) ru.Propagation.path))
+        && not (denied v ann)
+      then
+        Some
+          { Propagation.learned_over = Some (Relationship.invert rel_uv);
+            path = u :: ru.Propagation.path;
+            ann_index = ru.Propagation.ann_index
+          }
+      else None
+  in
+  List.iter
+    (fun v ->
+      let expected =
+        if is_down v then None
+        else
+          List.fold_left
+            (fun acc (u, rel_vu) ->
+              best acc (offer u v (Relationship.invert rel_vu)))
+            (originated v) (As_graph.neighbors g v)
+      in
+      let actual = Propagation.route_at r v in
+      if actual <> expected then
+        Alcotest.failf "%s: unstable at %s: holds %s, best on offer %s" what
+          (Asn.to_string v)
+          (Option.fold ~none:"none" ~some:route_str actual)
+          (Option.fold ~none:"none" ~some:route_str expected))
+    (As_graph.ases g)
+
 let test_properties () =
   let params = List.assoc "~900as" sizes in
   List.iter
@@ -233,9 +309,9 @@ let test_properties () =
       List.iter
         (fun (name, deny, down, anns) ->
           let r = Propagation.propagate ?deny ~down g anns in
-          check_table_properties
-            ~what:(Printf.sprintf "seed %d %s" seed name)
-            g anns r;
+          let what = Printf.sprintf "seed %d %s" seed name in
+          check_table_properties ~what g anns r;
+          check_stable ~what ?deny ~down g anns r;
           let via = List.hd w.Gen.large_transit in
           if not (is_sorted (Propagation.routes_via r via)) then
             Alcotest.failf "seed %d %s: routes_via not sorted" seed name)
@@ -243,7 +319,7 @@ let test_properties () =
     seeds
 
 (* ------------------------------------------------------------------ *)
-(* Determinism regression: the sequential engine's queue visit order is
+(* Determinism regression: the engine's queue visit order is
    a function of the inputs alone (queues are seeded in sorted ASN
    order, not Hashtbl.iter order), so two identical runs produce
    identical visit traces. *)
@@ -262,7 +338,7 @@ let test_visit_trace_deterministic () =
   let trace () =
     let visits = ref [] in
     let r =
-      Propagation.propagate_seq ~visit:(fun a -> visits := a :: !visits) g anns
+      Propagation.propagate ~visit:(fun a -> visits := a :: !visits) g anns
     in
     (List.rev !visits, r)
   in
@@ -276,9 +352,267 @@ let test_visit_trace_deterministic () =
   check_tables ~what:"same-input reruns" r1 r2
 
 (* ------------------------------------------------------------------ *)
-(* Relationship truth tables and the total-order laws of the merge
-   comparator: the parallel engine's stable merge is deterministic
-   only because [better] is a strict total order. *)
+(* Coalesced repropagation: a small testbed driven by a seeded stream
+   of ops — client announcements and withdrawals at the sites,
+   external injections and retractions, failures, route leaks and ROV
+   — some applied one by one, most inside (possibly nested, possibly
+   raising) [Testbed.batch]es. A model keeps each prefix's active
+   announcement list as the testbed's export wiring builds it. After
+   every step, and at reads inside a batch, each prefix's result must
+   equal, as a Marshal digest, a fresh propagation of the model's
+   inputs; after a step, reading must not propagate anything. *)
+
+module Testbed = Peering_core.Testbed
+module Client = Peering_core.Client
+module Server = Peering_core.Server
+module Rpki = Peering_bgp.Rpki
+
+type source = Site of string | Ext of Asn.t
+
+type model = {
+  mutable active : (source * Propagation.announcement) list Prefix.Map.t;
+  mutable down : Asn.Set.t;
+  mutable leaks : (Asn.t * Asn.t) list;
+  mutable rov : (Rpki.t * Asn.Set.t) option;
+}
+
+(* Replacing a source's announcement moves it to the end of the list,
+   as the testbed does. *)
+let model_set m prefix src ann =
+  let cur = Option.value (Prefix.Map.find_opt prefix m.active) ~default:[] in
+  let rest = List.filter (fun (s, _) -> s <> src) cur in
+  let next = match ann with Some a -> rest @ [ (src, a) ] | None -> rest in
+  m.active <-
+    (if next = [] then Prefix.Map.remove prefix m.active
+     else Prefix.Map.add prefix next m.active)
+
+let digest r =
+  Digest.to_hex (Digest.string (Marshal.to_string (Propagation.table r) []))
+
+let testbed_sites = [ ("u0", 2); ("u1", 2); ("u2", 1); ("u3", 2) ]
+
+let oracle_digest tb m prefix =
+  match Prefix.Map.find_opt prefix m.active with
+  | None | Some [] -> None
+  | Some srcs ->
+    let g = Testbed.graph tb in
+    let anns = List.map snd srcs in
+    let site_asns = List.map Testbed.site_asn (Testbed.sites tb) in
+    let deny =
+      Option.map
+        (fun (roas, adopters) asn (ann : Propagation.announcement) ->
+          let origin =
+            match List.rev ann.Propagation.path_suffix with
+            | last :: _ -> last
+            | [] ->
+              if List.exists (Asn.equal ann.Propagation.origin) site_asns
+              then Testbed.peering_asn
+              else ann.Propagation.origin
+          in
+          Asn.Set.mem asn adopters
+          && Rpki.validate roas ~prefix ~origin:(Some origin) = Rpki.Invalid)
+        m.rov
+    in
+    let down = m.down in
+    Some
+      (match m.leaks with
+      | [] ->
+        let engine = Propagation.propagate ?deny ~down g anns in
+        let general = Propagation.propagate_general ?deny ~down g anns in
+        check_tables ~what:"model: propagate vs propagate_general" general
+          engine;
+        check_stable ~what:"model: propagate" ?deny ~down g anns engine;
+        digest engine
+      | leaks ->
+        let leak u v = List.exists (fun (a, b) -> a = u && b = v) leaks in
+        let general = Propagation.propagate_general ?deny ~down ~leak g anns in
+        check_stable ~what:"model: leaking propagate_general" ?deny ~down
+          ~leak g anns general;
+        digest general)
+
+let check_prefix ~what tb m prefix =
+  let actual = Option.map digest (Testbed.result_for tb prefix) in
+  let expected = oracle_digest tb m prefix in
+  if actual <> expected then
+    Alcotest.failf "%s: %s result %s, fresh propagation %s" what
+      (Prefix.to_string prefix)
+      (Option.value actual ~default:"none")
+      (Option.value expected ~default:"none")
+
+let rounds () =
+  Peering_obs.Metrics.counter_value "topo.propagation.rounds"
+
+let test_testbed_seed seed =
+  let params = List.assoc "~900as" sizes in
+  let tb =
+    Testbed.build
+      ~params:
+        { Testbed.default_params with
+          Testbed.world = params;
+          seed;
+          university_sites = testbed_sites;
+          with_amsix = false;
+          with_phoenix = false;
+          bilateral_requests = false
+        }
+      ()
+  in
+  let rng = Random.State.make [| 0xba7c; seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let w = Testbed.world tb in
+  let g = Testbed.graph tb in
+  let site_names = List.map fst testbed_sites in
+  let clients =
+    List.map
+      (fun id ->
+        let exp =
+          match Testbed.new_experiment tb ~id () with
+          | Ok e -> e
+          | Error e -> Alcotest.fail e
+        in
+        let c = Client.create ~id:("c-" ^ id) ~experiment:exp () in
+        Testbed.connect_client tb c ~sites:site_names;
+        (c, List.hd exp.Peering_core.Experiment.prefixes))
+      [ Printf.sprintf "diff-%d-a" seed; Printf.sprintf "diff-%d-b" seed ]
+  in
+  (* A prefix of the simulated Internet, for injections no client
+     competes with. *)
+  let world_prefix =
+    List.hd (As_graph.prefixes_of g (List.hd w.Gen.stubs))
+  in
+  let prefixes = world_prefix :: List.map snd clients in
+  let transit = Gen.all_transit w in
+  let origins = transit @ w.Gen.stubs @ w.Gen.content in
+  let failable =
+    List.map Testbed.site_asn (Testbed.sites tb)
+    @ List.concat_map (Testbed.peers_at tb) site_names
+    @ transit
+  in
+  let m =
+    { active = Prefix.Map.empty; down = Asn.Set.empty; leaks = []; rov = None }
+  in
+  let subset l =
+    match List.filter (fun _ -> Random.State.bool rng) l with
+    | [] -> [ pick l ]
+    | l -> l
+  in
+  let op () =
+    match Random.State.int rng 9 with
+    | 0 | 1 ->
+      let c, p = pick clients in
+      let servers = subset site_names in
+      List.iter
+        (fun (site, r) ->
+          match r with
+          | Ok () ->
+            let srv = Testbed.site_server (Testbed.site_exn tb site) in
+            let ann =
+              Propagation.announce
+                ~export_to:(Asn.Set.of_list (Server.peer_asns srv))
+                (Testbed.site_asn (Testbed.site_exn tb site))
+                p
+            in
+            model_set m p (Site site) (Some ann)
+          | Error _ -> ())
+        (Client.announce c ~servers p)
+    | 2 ->
+      let c, p = pick clients in
+      let servers = subset site_names in
+      Client.withdraw c ~servers p;
+      List.iter (fun site -> model_set m p (Site site) None) servers
+    | 3 | 4 ->
+      let origin = pick origins and p = pick prefixes in
+      let path_suffix =
+        if Random.State.int rng 4 = 0 then [ pick transit ] else []
+      in
+      Testbed.inject_external tb ~origin ~path_suffix p;
+      model_set m p (Ext origin)
+        (Some (Propagation.announce ~path_suffix origin p))
+    | 5 ->
+      let p = pick prefixes in
+      let origin =
+        match
+          List.filter_map
+            (function Ext a, _ -> Some a | Site _, _ -> None)
+            (Option.value (Prefix.Map.find_opt p m.active) ~default:[])
+        with
+        | [] -> pick origins
+        | l -> pick l
+      in
+      Testbed.retract_external tb ~origin p;
+      model_set m p (Ext origin) None
+    | 6 ->
+      let a = pick failable in
+      let down = not (Asn.Set.mem a m.down) in
+      Testbed.set_down tb a down;
+      m.down <- (if down then Asn.Set.add a m.down else Asn.Set.remove a m.down)
+    | 7 ->
+      let edges =
+        if Random.State.bool rng then []
+        else
+          List.init
+            (1 + Random.State.int rng 2)
+            (fun _ ->
+              let u = pick transit in
+              (u, fst (pick (As_graph.neighbors g u))))
+      in
+      Testbed.set_leak_edges tb edges;
+      m.leaks <- edges
+    | _ ->
+      if Random.State.bool rng then begin
+        Testbed.clear_rov tb;
+        m.rov <- None
+      end
+      else begin
+        let roas =
+          List.fold_left
+            (fun acc (_, p) -> Rpki.add_roa acc ~prefix:p Testbed.peering_asn)
+            Rpki.empty clients
+        in
+        let adopters =
+          Asn.Set.of_list (List.filter (fun _ -> Random.State.int rng 3 = 0) transit)
+        in
+        Testbed.set_rov tb ~roas ~adopters;
+        m.rov <- Some (roas, adopters)
+      end
+  in
+  let ops what n =
+    for _ = 1 to n do
+      op ();
+      if Random.State.int rng 5 = 0 then
+        check_prefix ~what:(what ^ ", read inside") tb m (pick prefixes)
+    done
+  in
+  for step = 1 to 40 do
+    let what = Printf.sprintf "seed %d step %d" seed step in
+    (match Random.State.int rng 4 with
+    | 0 -> op ()
+    | 1 -> Testbed.batch tb (fun () -> ops what (1 + Random.State.int rng 6))
+    | 2 ->
+      Testbed.batch tb (fun () ->
+          ops what (Random.State.int rng 3);
+          Testbed.batch tb (fun () -> ops what (1 + Random.State.int rng 3));
+          ops what (Random.State.int rng 3))
+    | _ -> (
+      try
+        Testbed.batch tb (fun () ->
+            ops what (1 + Random.State.int rng 4);
+            raise Exit)
+      with Exit -> ()));
+    let before = rounds () in
+    List.iter (fun p -> ignore (Testbed.result_for tb p)) prefixes;
+    if rounds () <> before then
+      Alcotest.failf "%s: a read after the step propagated" what;
+    List.iter (check_prefix ~what tb m) prefixes;
+    Peering_sim.Engine.run_for (Testbed.engine tb) 3600.0
+  done
+
+let test_testbed_batches () = List.iter test_testbed_seed seeds
+
+(* ------------------------------------------------------------------ *)
+(* Relationship truth tables and the total-order laws of [better]: the
+   fixpoint both engines reach is unique only because [better] is a
+   strict total order. *)
 
 let all_rels = [ Relationship.Customer; Relationship.Provider; Relationship.Peer ]
 
@@ -374,17 +708,19 @@ let prop_better_transitive =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  Printf.printf "propagation-diff: %d seeds x %d domain counts (set \
-                 PROPAGATION_DIFF_SEEDS to widen)\n%!"
-    n_seeds
-    (List.length domain_counts);
+  Printf.printf
+    "propagation-diff: %d seeds (set PROPAGATION_DIFF_SEEDS to widen)\n%!"
+    n_seeds;
   Alcotest.run "propagation-diff"
     [ ( "differential",
         List.map
           (fun (label, params) ->
-            tc (Printf.sprintf "parallel = sequential (%s)" label) `Quick
-              (test_differential params))
+            tc (Printf.sprintf "propagate = general (%s)" label)
+              `Quick (test_differential params))
           sizes );
+      ( "testbed",
+        [ tc "batched ops = fresh propagation" `Quick test_testbed_batches ]
+      );
       ( "properties",
         [ tc "valley-free, loop-free, origin-terminated, accounted" `Quick
             test_properties
