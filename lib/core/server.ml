@@ -140,8 +140,9 @@ type t = {
   mutable up : bool;
   mutable crashed_at : float option;
   (* testbed injection hook: observe crash/restart transitions so the
-     simulated Internet can route around a dead mux *)
-  mutable status_hook : (bool -> unit) option;
+     simulated Internet can route around a dead mux; on restart it is
+     handed the failover re-exports to run *)
+  mutable status_hook : (bool -> (unit -> unit) -> unit) option;
   (* live telemetry: encoded BMP messages are pushed here (the
      monitoring station's feed).  Byte-level so lib/measure can consume
      without a dependency on this module. *)
@@ -510,7 +511,7 @@ let crash t =
        peer (reason 2, local system closed), then Termination. *)
     List.iter (fun p -> bmp_peer_down t p ~reason:2) t.peer_list;
     bmp_emit t (Bmp.Termination { info = [ (0, "bgp process down") ] });
-    match t.status_hook with Some f -> f false | None -> ()
+    match t.status_hook with Some f -> f false ignore | None -> ()
   end
 
 let restart t =
@@ -529,28 +530,30 @@ let restart t =
         (Bmp.Initiation { info = [ (1, "peering mux"); (2, t.server_name) ] })
     end;
     List.iter (fun p -> bmp_peer_up t p) t.peer_list;
-    (match t.status_hook with Some f -> f true | None -> ());
     (* Failover: re-issue every client's surviving announcements so
        Adj-RIBs-Out resynchronize without client involvement. Each
        re-export runs spanned so blast-radius accounting attributes
        the recovery traffic to the fault that caused it. *)
-    List.iter
-      (fun conn ->
-        if not (Prefix.Map.is_empty conn.announced) then
-          Metrics.Counter.inc t.m.m_failovers;
-        Prefix.Map.iter
-          (fun prefix (targets, sanitized) ->
-            export_spanned t
-              ~attrs:
-                [ ("client", conn.id); ("prefix", Prefix.to_string prefix) ]
-              (Export_announce
-                 { client = conn.id;
-                   prefix;
-                   path_suffix = sanitized;
-                   peers = targets
-                 }))
-          conn.announced)
-      t.conns
+    let failover () =
+      List.iter
+        (fun conn ->
+          if not (Prefix.Map.is_empty conn.announced) then
+            Metrics.Counter.inc t.m.m_failovers;
+          Prefix.Map.iter
+            (fun prefix (targets, sanitized) ->
+              export_spanned t
+                ~attrs:
+                  [ ("client", conn.id); ("prefix", Prefix.to_string prefix) ]
+                (Export_announce
+                   { client = conn.id;
+                     prefix;
+                     path_suffix = sanitized;
+                     peers = targets
+                   }))
+            conn.announced)
+        t.conns
+    in
+    match t.status_hook with Some f -> f true failover | None -> failover ()
   end
 
 let learned_route_count t = t.n_learned

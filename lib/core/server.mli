@@ -125,14 +125,18 @@ val restart : t -> unit
     upstream Adj-RIBs-Out resynchronize without client involvement.
     Re-exports run under [core.server.export] spans (site, client and
     prefix attributes), so when a fault injector crashes the mux the
-    recovery traffic lands in the fault's causal trace. Peer-learned
+    recovery traffic lands in the fault's causal trace. The re-exports
+    run inside the status hook when one is installed. Peer-learned
     routes must be re-fed by the testbed. *)
 
-val set_status_hook : t -> (bool -> unit) option -> unit
-(** Install an observer called with [false] on {!crash} and [true] on
-    {!restart} (before failover re-exports). The testbed uses it to
-    mark the mux's site unreachable in the simulated Internet while
-    the BGP process is down. *)
+val set_status_hook : t -> (bool -> (unit -> unit) -> unit) option -> unit
+(** Install an observer of crash/restart transitions. {!crash} calls it
+    with [false] and a no-op; {!restart} calls it with [true] and the
+    failover re-exports, which the hook must run exactly once (with no
+    hook, {!restart} runs them itself). The testbed's hook marks the
+    mux's site down or up in the simulated Internet and runs the
+    re-exports in the same [Testbed.batch], so a restart repropagates
+    each changed prefix once. *)
 
 val set_bmp_sink : t -> (bytes -> unit) option -> unit
 (** Attach (or detach) the live telemetry feed: every session and

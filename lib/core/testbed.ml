@@ -309,8 +309,14 @@ let build ?(params = default_params) () =
     in
     let site = { s_name = name; s_asn; s_server = server; s_fabric = fabric } in
     (* A crashed mux takes its site's graph node down with it: nothing
-       propagates through a PoP whose BGP process is dead. *)
-    Server.set_status_hook server (Some (fun up -> set_down t s_asn (not up)));
+       propagates through a PoP whose BGP process is dead. A restart's
+       node change and failover re-exports propagate as one unit. *)
+    Server.set_status_hook server
+      (Some
+         (fun up reexport ->
+           batch t (fun () ->
+               set_down t s_asn (not up);
+               reexport ())));
     t.site_list <- t.site_list @ [ site ];
     mk_peers site;
     site
@@ -529,6 +535,8 @@ let add_remote_ixp t ~via ~name ?(calibration = small_ixp_calibration) () =
         As_graph.add_edge (graph t) s.s_asn Relationship.Peer peer
       end)
     (Fabric.route_server_users fabric);
+  (* The new edges can change any active prefix's table. *)
+  invalidate_all t;
   fabric
 
 (* ------------------------------------------------------------------ *)

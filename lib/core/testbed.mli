@@ -168,7 +168,9 @@ val add_remote_ixp :
     the world"): build a new IXP fabric and peer the existing [via]
     site's server with its route-server users over the virtual L2 —
     more peers with no new physical deployment. Members already peered
-    with that server are skipped. Returns the new fabric. *)
+    with that server are skipped. Every active prefix repropagates over
+    the new edges (once, if inside a {!batch}). Returns the new
+    fabric. *)
 
 val feed_peer_routes : t -> site:string -> ?max_per_peer:int -> unit -> int
 

@@ -9,12 +9,16 @@
     descend to customers.
 
     {!propagate} is the valley-free engine: a work-queue fixpoint per
-    phase, seeded in ascending ASN order so its visit order, table and
-    metrics are functions of the inputs alone. {!propagate_general} is
-    the hook engine for worlds that are not valley-free (route leaks,
-    export and import filters); without hooks it reaches the same
-    table, which makes it the oracle of the differential harness
-    ([test/test_propagation_diff.ml], alias [@propagation-diff]).
+    phase over the graph's dense {!As_graph.view}, with route state in
+    flat arrays, seeded in ascending ASN order so its visit order,
+    table and metrics are functions of the inputs alone.
+    {!propagate_general} is the hook engine for worlds that are not
+    valley-free (route leaks, export and import filters); without
+    hooks it reaches the same table, which makes it the oracle of the
+    differential harness ([test/test_propagation_diff.ml], alias
+    [@propagation-diff]). It walks the graph's neighbor lists, not
+    the dense view, so an indexing fault in one engine cannot hide in
+    both.
 
     This engine is what stands in for "the live Internet" reacting to
     PEERING announcements: route injection, selective announcements,
@@ -69,6 +73,10 @@ val better : route -> route -> bool
     unique. *)
 
 type result
+(** The route every AS selected, as flat arrays over the dense indices
+    of the {!As_graph.view} it was computed on, which the result keeps.
+    Accessors index it; an AS outside that view has no route. A result
+    is immutable and stays valid after the graph changes. *)
 
 val propagate :
   ?deny:(Asn.t -> announcement -> bool) ->
@@ -85,10 +93,15 @@ val propagate :
     single best. [visit] is a test hook called on every AS dequeued in
     phases 1 and 3, in order.
 
+    Builds the graph's dense view if a change dropped it. A candidate
+    is compared with the held route field by field; only an adopted
+    one allocates (one cons: the exporter prepended to its own path).
+
     Records [topo.propagation.rounds] (work-queue generations; the
     peer phase counts as one), [.offers] (candidates reaching an up,
     loop-free neighbor), [.adoptions] and the [.frontier] histogram
-    (queue length at the start of each generation). *)
+    (queue length at the start of each generation). The counters are
+    added once per call. *)
 
 val propagate_general :
   ?deny:(Asn.t -> announcement -> bool) ->
@@ -119,12 +132,14 @@ val propagate_general :
     Leaks can make a world with no stable state: after
     64 × (ASes + 1) work-queue steps it raises [Failure].
     Deterministic: the work queue is seeded in ascending ASN order and
-    neighbors are visited in ascending ASN order. This engine is also
+    neighbors are visited in ascending ASN order. Its working table is
+    a hash table over {!As_graph.neighbors}; it is converted to a
+    [result] over the graph's current view only at the end. This engine is also
     the dynamic oracle the static leak analysis is differentially
     tested against ([test/test_check_diff.ml], alias [@check-diff]). *)
 
 val route_at : result -> Asn.t -> route option
-(** The route the AS selected, [None] if unreachable. *)
+(** The route the AS selected, [None] if unreachable. O(log n). *)
 
 val path_at : result -> Asn.t -> Asn.t list option
 
@@ -140,6 +155,7 @@ val reachable : result -> Asn.t list
 (** ASes holding a route, ascending. *)
 
 val reachable_count : result -> int
+(** O(1). *)
 
 val catchment : result -> (int * int) list
 (** For multi-origin announcements: [(ann_index, count)] pairs giving

@@ -118,6 +118,56 @@ let test_collector () =
   check Alcotest.(option (list int)) "last path" (Some [ 3356; 47065 ])
     (Option.map (List.map Asn.to_int) (Collector.last_path c p))
 
+(* The ring against a list model at the real capacity: [k] events past
+   it, the archive holds the newest [capacity] in order, counts [k] as
+   dropped, and its queries read the retained events only. Prefix
+   10.9/16 appears only among the dropped events. *)
+let test_collector_ring () =
+  let c = Collector.create () in
+  let cap = Collector.capacity and k = 37 in
+  let n = cap + k in
+  let prefix i =
+    if i < k then pfx "10.9.0.0/16"
+    else pfx (Printf.sprintf "10.%d.0.0/16" (i mod 3))
+  in
+  let kind i = if i mod 5 = 4 then Collector.Withdraw else Collector.Announce in
+  let record i =
+    Collector.record c ~time:(float_of_int i) ~peer:(asn 3356) ~prefix:(prefix i)
+      ~path:[ asn (1 + i) ] (kind i)
+  in
+  for i = 0 to cap - 1 do record i done;
+  check Alcotest.(pair int int) "full, nothing dropped" (cap, 0)
+    (Collector.n_entries c, Collector.dropped c);
+  for i = cap to n - 1 do record i done;
+  check Alcotest.(pair int int) "wrapped" (cap, k)
+    (Collector.n_entries c, Collector.dropped c);
+  let kept = List.init cap (fun j -> k + j) in
+  check Alcotest.bool "entries = newest capacity, oldest first" true
+    (List.map (fun (e : Collector.entry) -> int_of_float e.Collector.time)
+       (Collector.entries c)
+    = kept);
+  List.iter
+    (fun p ->
+      let mine = List.filter (fun i -> Prefix.equal (prefix i) p) kept in
+      let model_last =
+        match List.rev mine with
+        | [] -> None
+        | i :: _ ->
+          if kind i = Collector.Announce then Some [ asn (1 + i) ] else None
+      in
+      let name = Prefix.to_string p in
+      check Alcotest.int ("churn " ^ name) (List.length mine)
+        (Collector.churn c p);
+      check Alcotest.bool ("last path " ^ name) true
+        (Collector.last_path c p = model_last))
+    (List.map pfx [ "10.0.0.0/16"; "10.1.0.0/16"; "10.2.0.0/16"; "10.9.0.0/16" ]);
+  Collector.clear c;
+  check Alcotest.(pair int int) "cleared" (0, 0)
+    (Collector.n_entries c, Collector.dropped c);
+  record k;
+  check Alcotest.(list (float 0.)) "records after clear" [ float_of_int k ]
+    (List.map (fun (e : Collector.entry) -> e.Collector.time) (Collector.entries c))
+
 (* ------------------------------------------------------------------ *)
 (* Reachability *)
 
@@ -482,7 +532,10 @@ let () =
           tc "resolvable" `Quick test_workload_resolvable;
           tc "cdn concentration" `Quick test_workload_cdn_concentration
         ] );
-      ("collector", [ tc "log" `Quick test_collector ]);
+      ( "collector",
+        [ tc "log" `Quick test_collector;
+          tc "ring" `Quick test_collector_ring
+        ] );
       ( "reachability",
         [ tc "cones" `Quick test_reachability_cones;
           tc "fraction" `Quick test_reachability_fraction

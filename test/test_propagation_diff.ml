@@ -129,24 +129,6 @@ let scenarios (w : Gen.world) =
       ] )
   ]
 
-let diff_one_world params seed =
-  let w = Gen.generate { params with Gen.seed } in
-  let g = w.Gen.graph in
-  List.iter
-    (fun (name, deny, down, anns) ->
-      let oracle = Propagation.propagate_general ?deny ~down g anns in
-      let engine = Propagation.propagate ?deny ~down g anns in
-      check_tables ~what:(Printf.sprintf "seed %d %s" seed name) oracle engine)
-    (scenarios w)
-
-let test_differential params () =
-  List.iter (fun seed -> diff_one_world params seed) seeds
-
-(* ------------------------------------------------------------------ *)
-(* Structural properties of every adopted table: valley-freeness,
-   loop-freeness, origin-termination, catchment accounting, sorted
-   accessor output. *)
-
 (* Walking the full path from the selecting AS toward the origin, a
    provider or peer edge must never follow a peer or customer edge —
    Gao–Rexford's no-valley, at-most-one-peak rule. Unlabelled adjacent
@@ -168,6 +150,93 @@ let valley_free g full_path =
     | Relationship.Customer :: rest -> ok true rest
   in
   ok false (rels [] full_path)
+
+(* Every accessor of a result must agree with the value derived from
+   its [table]: the accessors index the dense arrays directly, [table]
+   walks them, and both engines build the same representation. *)
+let check_accessors ~what g (w : Gen.world) r =
+  let tbl = Propagation.table r in
+  let fail acc = Alcotest.failf "%s: %s disagrees with table" what acc in
+  let by_asn = Asn.Map.of_seq (List.to_seq tbl) in
+  let asns = Asn.of_int 4_294_000_000 :: As_graph.ases g in
+  List.iter
+    (fun a ->
+      let rt = Asn.Map.find_opt a by_asn in
+      if Propagation.route_at r a <> rt then fail "route_at";
+      let path = Option.map (fun (rt : Propagation.route) -> rt.path) rt in
+      if Propagation.path_at r a <> path then fail "path_at";
+      if Propagation.full_path r a <> Option.map (fun p -> a :: p) path then
+        fail "full_path")
+    asns;
+  if Propagation.reachable r <> List.map fst tbl then fail "reachable";
+  if Propagation.reachable_count r <> List.length tbl then
+    fail "reachable_count";
+  let anns =
+    List.sort_uniq Int.compare
+      (List.map (fun (_, (rt : Propagation.route)) -> rt.ann_index) tbl)
+  in
+  let catchment =
+    List.map
+      (fun i ->
+        ( i,
+          List.length
+            (List.filter
+               (fun (_, (rt : Propagation.route)) -> rt.ann_index = i)
+               tbl) ))
+      anns
+  in
+  if Propagation.catchment r <> catchment then fail "catchment";
+  List.iter
+    (fun via ->
+      let expected =
+        List.filter_map
+          (fun (a, (rt : Propagation.route)) ->
+            if List.exists (Asn.equal via) rt.path && not (Asn.equal a via)
+            then Some a
+            else None)
+          tbl
+      in
+      if Propagation.routes_via r via <> expected then fail "routes_via")
+    (List.hd w.Gen.tier1 :: List.hd w.Gen.large_transit
+     :: List.filteri (fun i _ -> i < 3) w.Gen.small_transit);
+  let polluted =
+    List.filter_map
+      (fun (a, (rt : Propagation.route)) ->
+        if valley_free g (a :: rt.path) then None else Some a)
+      tbl
+  in
+  if Propagation.polluted g r <> polluted then fail "polluted"
+
+let diff_one_world params seed =
+  let w = Gen.generate { params with Gen.seed } in
+  let g = w.Gen.graph in
+  List.iter
+    (fun (name, deny, down, anns) ->
+      let what = Printf.sprintf "seed %d %s" seed name in
+      let oracle = Propagation.propagate_general ?deny ~down g anns in
+      let engine = Propagation.propagate ?deny ~down g anns in
+      check_tables ~what oracle engine;
+      check_accessors ~what:(what ^ " (general)") g w oracle;
+      check_accessors ~what:(what ^ " (engine)") g w engine)
+    (scenarios w);
+  (* A leaking transit makes [polluted] non-empty: its blast radius. *)
+  let leaker = List.nth w.Gen.small_transit 2 in
+  let origin = List.hd w.Gen.stubs in
+  let p = List.hd (As_graph.prefixes_of g origin) in
+  let leaked =
+    Propagation.propagate_general ~leak:(fun u _ -> Asn.equal u leaker) g
+      [ Propagation.announce origin p ]
+  in
+  check_accessors ~what:(Printf.sprintf "seed %d leak (general)" seed) g w
+    leaked
+
+let test_differential params () =
+  List.iter (fun seed -> diff_one_world params seed) seeds
+
+(* ------------------------------------------------------------------ *)
+(* Structural properties of every adopted table: valley-freeness,
+   loop-freeness, origin-termination, catchment accounting, sorted
+   accessor output. *)
 
 let loop_free full_path =
   let sorted = List.sort Asn.compare full_path in
@@ -354,13 +423,14 @@ let test_visit_trace_deterministic () =
 (* ------------------------------------------------------------------ *)
 (* Coalesced repropagation: a small testbed driven by a seeded stream
    of ops — client announcements and withdrawals at the sites,
-   external injections and retractions, failures, route leaks and ROV
-   — some applied one by one, most inside (possibly nested, possibly
-   raising) [Testbed.batch]es. A model keeps each prefix's active
-   announcement list as the testbed's export wiring builds it. After
-   every step, and at reads inside a batch, each prefix's result must
-   equal, as a Marshal digest, a fresh propagation of the model's
-   inputs; after a step, reading must not propagate anything. *)
+   external injections and retractions, failures, route leaks, ROV,
+   and mux crashes and restarts — some applied one by one, most inside
+   (possibly nested, possibly raising) [Testbed.batch]es. A model
+   keeps each prefix's active announcement list as the testbed's
+   export wiring builds it. After every step, and at reads inside a
+   batch, each prefix's result must equal, as a Marshal digest, a
+   fresh propagation of the model's inputs; after a step, reading must
+   not propagate anything. *)
 
 module Testbed = Peering_core.Testbed
 module Client = Peering_core.Client
@@ -496,7 +566,39 @@ let test_testbed_seed seed =
     | [] -> [ pick l ]
     | l -> l
   in
+  (* Mux crashes and restarts draw from their own stream, so the op
+     stream above stays the one each seed always drew. A crash takes
+     the site's node down; a restart brings it up and re-exports every
+     surviving announcement there, which moves it to the end of its
+     prefix's list. While a mux is down, withdrawals through it are
+     ignored. *)
+  let fault_rng = Random.State.make [| 0xc4a5; seed |] in
+  let toggle_mux () =
+    let site =
+      List.nth site_names (Random.State.int fault_rng (List.length site_names))
+    in
+    let s = Testbed.site_exn tb site in
+    let srv = Testbed.site_server s and a = Testbed.site_asn s in
+    if Server.is_up srv then begin
+      Server.crash srv;
+      m.down <- Asn.Set.add a m.down
+    end
+    else begin
+      Server.restart srv;
+      m.down <- Asn.Set.remove a m.down;
+      Prefix.Map.iter
+        (fun p srcs ->
+          match List.assoc_opt (Site site) srcs with
+          | Some ann -> model_set m p (Site site) (Some ann)
+          | None -> ())
+        m.active
+    end
+  in
+  let mux_up site =
+    Server.is_up (Testbed.site_server (Testbed.site_exn tb site))
+  in
   let op () =
+    if Random.State.int fault_rng 6 = 0 then toggle_mux ();
     match Random.State.int rng 9 with
     | 0 | 1 ->
       let c, p = pick clients in
@@ -519,7 +621,9 @@ let test_testbed_seed seed =
       let c, p = pick clients in
       let servers = subset site_names in
       Client.withdraw c ~servers p;
-      List.iter (fun site -> model_set m p (Site site) None) servers
+      List.iter
+        (fun site -> if mux_up site then model_set m p (Site site) None)
+        servers
     | 3 | 4 ->
       let origin = pick origins and p = pick prefixes in
       let path_suffix =
@@ -608,6 +712,109 @@ let test_testbed_seed seed =
   done
 
 let test_testbed_batches () = List.iter test_testbed_seed seeds
+
+(* ------------------------------------------------------------------ *)
+(* View invalidation: [propagate] runs on the graph's cached dense
+   view, [propagate_general] on the graph's maps. After each mutation
+   the next [propagate] must equal the oracle on the mutated graph,
+   which it can only do if the mutation dropped the cached view. *)
+
+let test_view_invalidation () =
+  let params = List.assoc "~900as" sizes in
+  List.iter
+    (fun seed ->
+      let w = Gen.generate { params with Gen.seed } in
+      let g = w.Gen.graph in
+      let origin = List.hd w.Gen.stubs in
+      let p = List.hd (As_graph.prefixes_of g origin) in
+      let anns = [ Propagation.announce origin p ] in
+      let same ?(anns = anns) what =
+        let engine = Propagation.propagate g anns in
+        check_tables
+          ~what:(Printf.sprintf "seed %d after %s" seed what)
+          (Propagation.propagate_general g anns)
+          engine;
+        engine
+      in
+      ignore (same "nothing");
+      (* An AS added with no edge: only a dropped view indexes it, so
+         only then does its own announcement give it a route. *)
+      let lone = Asn.of_int (4_100_000_000 + seed) in
+      As_graph.add_as g lone;
+      let r =
+        same "add_as"
+          ~anns:
+            (Propagation.announce lone (Prefix.of_string_exn "198.51.100.0/24")
+            :: anns)
+      in
+      check Alcotest.bool "the added AS has its origin route" true
+        (Propagation.route_at r lone <> None);
+      let provider = List.hd (As_graph.providers g origin) in
+      let fresh = Asn.of_int (4_200_000_000 + seed) in
+      As_graph.add_as g fresh;
+      As_graph.add_edge g provider Relationship.Customer fresh;
+      let r = same "add_as + add_edge" in
+      check Alcotest.bool "the new AS is reached" true
+        (Propagation.route_at r fresh <> None);
+      let tier1 =
+        List.find
+          (fun t -> As_graph.relationship g origin t = None)
+          w.Gen.tier1
+      in
+      As_graph.add_edge g origin Relationship.Provider tier1;
+      let r = same "add_edge" in
+      check Alcotest.(option (list int)) "the new provider is one hop away"
+        (Some [ Asn.to_int origin ])
+        (Option.map (List.map Asn.to_int) (Propagation.path_at r tier1));
+      As_graph.remove_edge g origin provider;
+      let r = same "remove_edge" in
+      if List.mem provider (Propagation.routes_via r provider) then
+        Alcotest.fail "routes_via includes the AS itself";
+      check Alcotest.bool "the removed provider is no longer one hop away"
+        true
+        (Propagation.path_at r provider <> Some [ origin ]))
+    seeds;
+  (* The testbed's remote-IXP build adds edges to the live graph and
+     repropagates every active prefix over them: an announcement from
+     the site reaches the new peers. *)
+  let params = List.assoc "~900as" sizes in
+  let tb =
+    Testbed.build
+      ~params:
+        { Testbed.default_params with
+          Testbed.world = params;
+          university_sites = testbed_sites;
+          with_amsix = false;
+          with_phoenix = false;
+          bilateral_requests = false
+        }
+      ()
+  in
+  let g = Testbed.graph tb in
+  let site = Testbed.site_exn tb "u0" in
+  let s_asn = Testbed.site_asn site in
+  let p = Prefix.of_string_exn "184.164.224.0/24" in
+  let anns = [ Propagation.announce s_asn p ] in
+  Testbed.inject_external tb ~origin:s_asn p;
+  ignore (Testbed.result_for tb p);
+  let before = As_graph.neighbors g s_asn in
+  ignore (Testbed.add_remote_ixp tb ~via:"u0" ~name:"remote-ix" ());
+  let added =
+    List.filter
+      (fun (n, _) -> not (List.mem_assoc n before))
+      (As_graph.neighbors g s_asn)
+  in
+  check Alcotest.bool "the remote IXP added peers" true (added <> []);
+  match Testbed.result_for tb p with
+  | None -> Alcotest.fail "no result after the remote IXP"
+  | Some r ->
+    check_tables ~what:"after add_remote_ixp"
+      (Propagation.propagate_general g anns)
+      r;
+    check Alcotest.bool "a remote peer routes over its new edge" true
+      (List.exists
+         (fun (n, _) -> Propagation.path_at r n = Some [ s_asn ])
+         added)
 
 (* ------------------------------------------------------------------ *)
 (* Relationship truth tables and the total-order laws of [better]: the
@@ -719,7 +926,10 @@ let () =
               `Quick (test_differential params))
           sizes );
       ( "testbed",
-        [ tc "batched ops = fresh propagation" `Quick test_testbed_batches ]
+        [ tc "batched ops = fresh propagation" `Quick test_testbed_batches;
+          tc "graph mutations drop the dense view" `Quick
+            test_view_invalidation
+        ]
       );
       ( "properties",
         [ tc "valley-free, loop-free, origin-terminated, accounted" `Quick
