@@ -664,40 +664,12 @@ let a6 () =
     \  design targets.\n"
 
 (* ------------------------------------------------------------------ *)
-(* CHAOS: fault-injection drill (robustness) *)
+(* CHAOS and CHAOS-CAMPAIGN: fault drills on the default testbed, the
+   single-fault set and the compound set, one row shape for both *)
 
-let chaos () =
-  section "CHAOS  Fault-injection drill (graceful degradation under faults)";
-  let module Chaos = Peering_fault.Chaos in
-  let outcomes = Chaos.run_all ~seed:42 () in
-  List.iter
-    (fun (o : Chaos.outcome) ->
-      paper_vs_measured
-        ~label:(Printf.sprintf "%s (%s) reconverges" o.Chaos.scenario o.Chaos.fault_class)
-        ~paper:"yes, no routes lost"
-        ~measured:
-          (if o.Chaos.reconverged then
-             Printf.sprintf "yes in %.2f virtual s, %d lost" o.Chaos.recovery_s
-               o.Chaos.routes_lost
-           else Printf.sprintf "STUCK (%d lost)" o.Chaos.routes_lost);
-      Printf.printf "    %s\n" o.Chaos.detail)
-    outcomes;
-  let stuck =
-    List.length (List.filter (fun (o : Chaos.outcome) -> not o.Chaos.reconverged) outcomes)
-  in
-  paper_vs_measured ~label:"scenarios reconverged" ~paper:"all"
-    ~measured:
-      (Printf.sprintf "%d of %d" (List.length outcomes - stuck) (List.length outcomes))
+module Campaign = Peering_fault.Campaign
 
-(* ------------------------------------------------------------------ *)
-(* CHAOS-CAMPAIGN: compound faults on the default testbed *)
-
-let chaos_campaign () =
-  section
-    "CHAOS-CAMPAIGN  Compound faults, recovery SLOs, blast radius (testbed \
-     scale)";
-  let module Campaign = Peering_fault.Campaign in
-  let r = Campaign.run ~seed:42 () in
+let drill_rows (r : Campaign.report) =
   List.iter
     (fun (o : Campaign.outcome) ->
       paper_vs_measured
@@ -725,6 +697,16 @@ let chaos_campaign () =
     r.Campaign.slos;
   paper_vs_measured ~label:"campaign verdict" ~paper:"passed"
     ~measured:(if r.Campaign.passed then "passed" else "FAILED")
+
+let chaos () =
+  section "CHAOS  Single-fault drills, recovery SLOs (testbed scale)";
+  drill_rows (Campaign.run ~seed:42 ~drills:Campaign.single_fault_drills ())
+
+let chaos_campaign () =
+  section
+    "CHAOS-CAMPAIGN  Compound faults, recovery SLOs, blast radius (testbed \
+     scale)";
+  drill_rows (Campaign.run ~seed:42 ())
 
 (* ------------------------------------------------------------------ *)
 (* PROP: the valley-free engine's cost, and its table against the hook
@@ -901,8 +883,8 @@ let mrt () =
     | None ->
       paper_vs_measured ~label:"peak heap (GC top_heap_words)" ~paper:"n/a"
         ~measured:(Printf.sprintf "%.0f MB" gc_mb)));
-  (* Pass 3: cursor vs eager on a plain BGP UPDATE stream — the
-     session hot path, without MRT framing. *)
+  (* Pass 3: UPDATE decode of a plain BGP UPDATE stream — the session
+     hot path, without MRT framing. *)
   let n_msgs = min 200_000 (max 1 n_prefixes) in
   let opts = Wire.{ four_octet_asn = true; add_path = false } in
   let sb = Buffer.create (64 * n_msgs) in
@@ -924,12 +906,14 @@ let mrt () =
          (Peering_bgp.Message.update_of_announce p attrs))
   done;
   let stream = Buffer.to_bytes sb in
-  let walk decode =
+  (* Best of three walks: a single walk right after the mux load
+     pass can absorb that pass's major-GC debt. *)
+  let walk () =
     let t0 = Unix.gettimeofday () in
     let n = ref 0 and pos = ref 0 in
     let total = Bytes.length stream in
     while !pos < total do
-      match decode opts stream ~pos:!pos with
+      match Wire.decode opts stream ~pos:!pos with
       | Ok (_, next) ->
         incr n;
         pos := next
@@ -937,19 +921,14 @@ let mrt () =
     done;
     (!n, Unix.gettimeofday () -. t0)
   in
-  let n_cursor, t_cursor = walk Wire.decode in
-  let n_eager, t_eager = walk Wire.decode_eager in
-  assert (n_cursor = n_eager);
-  paper_vs_measured ~label:"UPDATE decode, cursor path" ~paper:"n/a"
+  let runs = List.init 3 (fun _ -> walk ()) in
+  let n = fst (List.hd runs) in
+  let dt = List.fold_left (fun acc (_, dt) -> Float.min acc dt) infinity runs in
+  paper_vs_measured ~label:"UPDATE decode" ~paper:"n/a"
     ~measured:
-      (Printf.sprintf "%.0fk msgs/s (%d msgs, %.2fs)"
-         (float_of_int n_cursor /. t_cursor /. 1000.0)
-         n_cursor t_cursor);
-  paper_vs_measured ~label:"UPDATE decode, eager reference" ~paper:"n/a"
-    ~measured:
-      (Printf.sprintf "%.0fk msgs/s (cursor is %.2fx)"
-         (float_of_int n_eager /. t_eager /. 1000.0)
-         (t_eager /. t_cursor))
+      (Printf.sprintf "%.0fk msgs/s (%d msgs, best of 3: %.2fs)"
+         (float_of_int n /. dt /. 1000.0)
+         n dt)
 
 (* ------------------------------------------------------------------ *)
 (* BMP: telemetry-plane throughput. One synthetic full-table feed —

@@ -824,57 +824,26 @@ let chaos_cmd =
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   let list_arg =
-    let doc = "List available scenarios and campaign drills, then exit." in
+    let doc = "List the single-fault and compound drills, then exit." in
     Arg.(value & flag & info [ "list" ] ~doc)
   in
   let scenario_arg =
     let doc =
-      "Run a single scenario (micro drill) or campaign drill by name; see \
-       --list."
+      "Run one drill, single-fault or compound, by name; see --list."
     in
     Arg.(
       value & opt (some string) None & info [ "scenario" ] ~docv:"NAME" ~doc)
   in
   let campaign_arg =
     let doc =
-      "Run the testbed-scale compound campaign (correlated faults, recovery \
-       SLOs, blast-radius accounting) instead of the micro scenarios."
+      "Run the compound drills (correlated and overlapping faults) instead \
+       of the single-fault drills."
     in
     Arg.(value & flag & info [ "campaign" ] ~doc)
   in
   let module Metrics = Peering_obs.Metrics in
   let module Json = Peering_obs.Json in
-  let module Chaos = Peering_fault.Chaos in
   let module Campaign = Peering_fault.Campaign in
-  let print_micro ~seed outcomes json =
-    if json then
-      print_endline
-        (Json.to_string ~indent:2 (Chaos.to_json ~seed outcomes))
-    else begin
-      Printf.printf "%-10s %-16s %-12s %10s %6s  %s\n" "scenario" "class"
-        "reconverged" "recovery_s" "lost" "detail";
-      List.iter
-        (fun (o : Chaos.outcome) ->
-          Printf.printf "%-10s %-16s %-12b %10.2f %6d  %s\n" o.Chaos.scenario
-            o.Chaos.fault_class o.Chaos.reconverged o.Chaos.recovery_s
-            o.Chaos.routes_lost o.Chaos.detail)
-        outcomes;
-      let stuck =
-        List.filter (fun (o : Chaos.outcome) -> not o.Chaos.reconverged) outcomes
-      in
-      let lost =
-        List.fold_left
-          (fun acc (o : Chaos.outcome) -> acc + o.Chaos.routes_lost)
-          0 outcomes
-      in
-      Printf.printf
-        "\n%d/%d scenarios reconverged; %d route%s lost overall\n"
-        (List.length outcomes - List.length stuck)
-        (List.length outcomes) lost
-        (if lost = 1 then "" else "s");
-      if stuck <> [] then exit 1
-    end
-  in
   let print_campaign (report : Campaign.report) json =
     if json then
       print_endline (Json.to_string ~indent:2 (Campaign.to_json report))
@@ -936,41 +905,38 @@ let chaos_cmd =
   in
   let run seed json list scenario campaign =
     if list then begin
-      Printf.printf "micro scenarios (chaos [--scenario NAME]):\n";
-      List.iter (Printf.printf "  %s\n") Chaos.scenarios;
-      Printf.printf "campaign drills (chaos --campaign [--scenario NAME]):\n";
+      Printf.printf "single-fault drills (chaos [--scenario NAME]):\n";
+      List.iter (Printf.printf "  %s\n") Campaign.single_fault_drills;
+      Printf.printf "compound drills (chaos --campaign [--scenario NAME]):\n";
       List.iter (Printf.printf "  %s\n") Campaign.drills
     end
     else begin
       (* Reset the global registry so two same-seed invocations emit
          byte-identical documents regardless of process history. *)
       Metrics.reset ();
-      match scenario with
-      | Some name when List.mem name Campaign.drills ->
-        print_campaign (Campaign.run ~seed ~drills:[ name ] ()) json
-      | Some name when List.mem name Chaos.scenarios ->
-        (* Same index-derived seed as the scenario's run_all slot, so a
-           single-scenario run replays the full suite's member. *)
-        let idx = ref 0 in
-        List.iteri (fun i s -> if s = name then idx := i) Chaos.scenarios;
-        print_micro ~seed
-          [ Chaos.run_one ~seed:(seed + (101 * !idx)) name ]
-          json
-      | Some name ->
-        Printf.eprintf "unknown scenario %S; try --list\n" name;
-        exit 2
-      | None ->
-        if campaign then print_campaign (Campaign.run ~seed ()) json
-        else print_micro ~seed (Chaos.run_all ~seed ()) json
+      let drills =
+        match scenario with
+        | Some name
+          when List.mem name Campaign.drills
+               || List.mem name Campaign.single_fault_drills ->
+          [ name ]
+        | Some name ->
+          Printf.eprintf "unknown scenario %S; try --list\n" name;
+          exit 2
+        | None when campaign -> Campaign.drills
+        | None -> Campaign.single_fault_drills
+      in
+      print_campaign (Campaign.run ~seed ~drills ()) json
     end
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
-         "Run the fault-injection drills: micro scenarios (one per fault \
-          class, each on a deterministic seeded two-router engine) or, with \
-          --campaign, testbed-scale compound campaigns with correlated \
-          faults, per-class recovery SLOs and blast-radius accounting")
+         "Run the fault-injection drills on the default testbed: one \
+          single-fault drill per fault class plus the dampening sweep or, \
+          with --campaign, the compound drills with correlated faults; \
+          every drill reports per-class recovery SLOs and blast-radius \
+          accounting")
     Term.(const run $ seed_arg $ json_arg $ list_arg $ scenario_arg
           $ campaign_arg)
 

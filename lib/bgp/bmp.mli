@@ -9,12 +9,12 @@
     IPv4 peers with a zero distinguisher; embedded PDUs always use
     4-octet ASNs and no ADD-PATH ({!pdu_opts}).
 
-    The codec follows {!Wire}'s discipline: one canonical encoder, and
-    two independent decoders — {!decode} on {!Wire.Cursor} (embedded
-    PDUs via [Wire.decode]) and {!decode_eager} on direct byte indexing
-    (embedded PDUs via [Wire.decode_eager]) — that must agree on every
-    input, including the [error] value for corrupt frames; the
-    [@mrt-roundtrip] alias's BMP corruption corpus enforces this. *)
+    One canonical encoder and one decoder ({!decode}, on
+    {!Wire.Cursor}, embedded PDUs via [Wire.decode]).  The test suite
+    keeps an independent direct-indexing reference decoder, and the
+    [@mrt-roundtrip] alias's BMP corruption corpus requires the two to
+    agree on every input, including the [error] value for corrupt
+    frames. *)
 
 open Peering_net
 
@@ -94,7 +94,7 @@ val msg_type_name : int -> string
 val peer_of : msg -> peer_header option
 (** The per-peer header, for the four peer-scoped message types. *)
 
-(** Decode errors, mirrored exactly by both decode paths. *)
+(** Decode errors. *)
 type error =
   | Truncated  (** buffer ends before the header-declared length *)
   | Bad_version of int  (** first byte is not 3 *)
@@ -117,11 +117,7 @@ val encode_all : msg list -> bytes
 
 val decode : bytes -> pos:int -> (msg * int, error) result
 (** [decode buf ~pos] parses one message starting at [pos]; returns
-    the message and the position one past its end.  This is the
-    {!Wire.Cursor}-based path.  [Error Truncated] is returned both for
-    a short common header and for a body the buffer cannot satisfy, so
-    feed reassembly can treat it as "wait for more bytes". *)
-
-val decode_eager : bytes -> pos:int -> (msg * int, error) result
-(** The independent direct-indexing reference decoder; same contract
-    as {!decode}, and must agree with it on every input. *)
+    the message and the position one past its end.  [Error Truncated]
+    is returned both for a short common header and for a body the
+    buffer cannot satisfy, so feed reassembly can treat it as "wait
+    for more bytes". *)

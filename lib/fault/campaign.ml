@@ -3,6 +3,7 @@ open Peering_core
 module Engine = Peering_sim.Engine
 module Router = Peering_router.Router
 module Session = Peering_bgp.Session
+module Fsm = Peering_bgp.Fsm
 module Forwarder = Peering_dataplane.Forwarder
 module Tunnel = Peering_dataplane.Tunnel
 module Packet = Peering_dataplane.Packet
@@ -68,8 +69,9 @@ type slo = { slo_class : string; p99_budget_s : float }
    cascade drills are dominated by the longest mux downtime plus wire
    re-establishment; the fate-group drill by the blackhole window; the
    leak storm by the explicit pollution window; the dampening sweep by
-   RFC 2439 decay at the largest half-life x suppress combination. *)
-let default_slos =
+   RFC 2439 decay at the largest half-life x suppress combination. The
+   single-fault classes follow the same method (see EXPERIMENTS.md). *)
+let compound_slos =
   [ { slo_class = "compound"; p99_budget_s = 90.0 };
     { slo_class = "fate_group"; p99_budget_s = 30.0 };
     { slo_class = "cascade"; p99_budget_s = 120.0 };
@@ -77,6 +79,16 @@ let default_slos =
     { slo_class = "dampening"; p99_budget_s = 4000.0 };
     { slo_class = "multi_tenant"; p99_budget_s = 90.0 }
   ]
+
+let single_fault_slos =
+  [ { slo_class = "impair"; p99_budget_s = 150.0 };
+    { slo_class = "session_reset"; p99_budget_s = 60.0 };
+    { slo_class = "partition"; p99_budget_s = 75.0 };
+    { slo_class = "mux_crash"; p99_budget_s = 12.0 };
+    { slo_class = "tunnel_blackhole"; p99_budget_s = 30.0 }
+  ]
+
+let default_slos = compound_slos @ single_fault_slos
 
 type slo_verdict = {
   verdict_class : string;
@@ -116,6 +128,50 @@ type ann = {
   ann_prefix : Prefix.t;
 }
 
+type dip_state = {
+  mutable seen_min : int;
+  mutable from_t : float option;
+  mutable until_t : float;
+}
+
+(* Per-prefix reach-dip tracking against the baseline: [sample] reads
+   every baseline prefix's reach now, [dips] reports the windows in
+   which a reach sat below its baseline. *)
+let make_dip_tracker tb eng baseline =
+  let states =
+    List.map
+      (fun (prefix, base) ->
+        (prefix, base, { seen_min = base; from_t = None; until_t = 0.0 }))
+      baseline
+  in
+  let sample () =
+    List.iter
+      (fun (prefix, base, st) ->
+        let r = Testbed.reach_count tb prefix in
+        if r < st.seen_min then st.seen_min <- r;
+        if r < base then begin
+          if st.from_t = None then st.from_t <- Some (Engine.now eng);
+          st.until_t <- Engine.now eng
+        end)
+      states
+  in
+  let dips () =
+    List.filter_map
+      (fun (prefix, base, st) ->
+        match st.from_t with
+        | None -> None
+        | Some from_t ->
+          Some
+            { dip_prefix = Prefix.to_string prefix;
+              baseline_reach = base;
+              min_reach = st.seen_min;
+              dip_from = from_t;
+              dip_until = st.until_t
+            })
+      states
+  in
+  (sample, dips)
+
 type world = {
   tb : Testbed.t;
   eng : Engine.t;
@@ -126,6 +182,8 @@ type world = {
   tunnels : (string * Tunnel.t) list;  (* site, tunnel *)
   anns : ann list;
   baseline : (Prefix.t * int) list;  (* baseline reach per prefix *)
+  sample : unit -> unit;  (* record every baseline prefix's reach now *)
+  dips : unit -> reach_dip list;  (* reach dips recorded so far *)
 }
 
 let university_sites = [ "gatech01"; "usc01"; "ufmg01" ]
@@ -153,7 +211,14 @@ let emu_converged emu =
     (Mininext.ibgp_sessions emu)
 
 let client_node = "cl:probe"
+let client_addr = Ipv4.of_octets 10 9 9 1
 let mux_node site = "mx:" ^ site
+
+(* The address behind each university site's tunnel. *)
+let tunnel_addr site =
+  match List.find_index (String.equal site) university_sites with
+  | Some i -> Ipv4.of_octets 184 164 (224 + i) 1
+  | None -> invalid_arg ("Campaign: no tunnel at " ^ site)
 
 let make_world ?(on_world = fun _ -> ()) ~seed () =
   let tb = Testbed.build ~params:{ Testbed.default_params with seed } () in
@@ -199,14 +264,13 @@ let make_world ?(on_world = fun _ -> ()) ~seed () =
      site's mux node — the fate-group drill blackholes them together. *)
   let fwd = Forwarder.create eng in
   Forwarder.add_node fwd client_node;
-  let client_addr = Ipv4.of_octets 10 9 9 1 in
   Forwarder.add_address fwd client_node client_addr;
   let tunnels =
-    List.mapi
-      (fun i site ->
+    List.map
+      (fun site ->
         let node = mux_node site in
         Forwarder.add_node fwd node;
-        let addr = Ipv4.of_octets 184 164 (224 + i) 1 in
+        let addr = tunnel_addr site in
         Forwarder.add_address fwd node addr;
         let tun = Tunnel.establish fwd eng ~a:client_node ~b:node () in
         Tunnel.route_via tun ~at:client_node (Prefix.make addr 32);
@@ -266,10 +330,11 @@ let make_world ?(on_world = fun _ -> ()) ~seed () =
       (fun a -> (a.ann_prefix, Testbed.reach_count tb a.ann_prefix))
       anns
   in
-  { tb; eng; inj; fwd; emu; wires; tunnels; anns; baseline }
+  let sample, dips = make_dip_tracker tb eng baseline in
+  { tb; eng; inj; fwd; emu; wires; tunnels; anns; baseline; sample; dips }
 
 (* ------------------------------------------------------------------ *)
-(* Recovery predicates and reach-dip tracking *)
+(* Recovery predicates *)
 
 let world_recovered w =
   List.for_all (fun s -> Server.is_up (Testbed.site_server s))
@@ -281,52 +346,19 @@ let world_recovered w =
        (fun (prefix, reach) -> Testbed.reach_count w.tb prefix = reach)
        w.baseline
 
-type dip_state = {
-  mutable seen_min : int;
-  mutable from_t : float option;
-  mutable until_t : float;
-}
-
-let make_dip_tracker w =
-  let states =
-    List.map
-      (fun (prefix, base) ->
-        (prefix, base, { seen_min = base; from_t = None; until_t = 0.0 }))
-      w.baseline
-  in
-  let sample () =
-    List.iter
-      (fun (prefix, base, st) ->
-        let r = Testbed.reach_count w.tb prefix in
-        if r < st.seen_min then st.seen_min <- r;
-        if r < base then begin
-          if st.from_t = None then st.from_t <- Some (Engine.now w.eng);
-          st.until_t <- Engine.now w.eng
-        end)
-      states
-  in
-  let dips () =
-    List.filter_map
-      (fun (prefix, base, st) ->
-        match st.from_t with
-        | None -> None
-        | Some from_t ->
-          Some
-            { dip_prefix = Prefix.to_string prefix;
-              baseline_reach = base;
-              min_reach = st.seen_min;
-              dip_from = from_t;
-              dip_until = st.until_t
-            })
-      states
-  in
-  (sample, dips)
-
+(* Baseline-reach shortfall of the testbed prefixes plus any route
+   missing from a wire session's tables. *)
 let routes_lost w =
   List.fold_left
     (fun acc (prefix, base) ->
       acc + max 0 (base - Testbed.reach_count w.tb prefix))
     0 w.baseline
+  + List.fold_left
+      (fun acc x ->
+        acc
+        + max 0 (x.wire_full - Router.table_size x.wr1)
+        + max 0 (x.wire_full - Router.table_size x.wr2))
+      0 w.wires
 
 (* Map an injector target name to the site it hurts, for targets whose
    spans carry no site attribute of their own. *)
@@ -372,22 +404,30 @@ let collect_blast ?(plan = []) ~dips () =
     trace_spans = List.length closure
   }
 
-(* Run [body] (which arms faults and drives the engine) under a fresh
-   flight recorder, measuring recovery against [world_recovered]. *)
+(* The one drill harness. Under a fresh flight recorder it builds the
+   world, runs [setup] (state the drill needs before any fault), arms
+   [plan], runs [body] (which may schedule traffic or drive the engine
+   itself), then steps until [fault_horizon] has passed and the world,
+   plus the drill's own [recovered] predicate, is back at baseline.
+   [watch] runs on every step, for assertions that must hold
+   throughout the outage. *)
 let drill_harness ~drill ~slo_class ~plan ~fault_horizon ?(extra_timeout = 600.)
-    ?(body = fun _ -> ()) ?on_world ~seed () =
+    ?(setup = fun _ -> ()) ?(body = fun _ -> ()) ?(watch = fun _ -> ())
+    ?(recovered = fun _ -> true) ?on_world ~seed () =
   Span.reset ();
   Sink.start_flight_recorder ();
   let w = make_world ?on_world ~seed () in
-  let sample, dips = make_dip_tracker w in
+  setup w;
   let fault_start = Engine.now w.eng in
   Injector.arm w.inj plan;
   body w;
   let settled =
     wait_until w.eng
       (fun () ->
-        sample ();
-        Engine.now w.eng >= fault_start +. fault_horizon && world_recovered w)
+        w.sample ();
+        watch w;
+        Engine.now w.eng >= fault_start +. fault_horizon
+        && world_recovered w && recovered w)
       ~timeout:(fault_horizon +. extra_timeout)
   in
   Sink.stop_flight_recorder ();
@@ -400,7 +440,7 @@ let drill_harness ~drill ~slo_class ~plan ~fault_horizon ?(extra_timeout = 600.)
   let injected =
     List.map (fun (s : Plan.step) -> Plan.describe s.fault) plan
   in
-  let blast = collect_blast ~plan ~dips:(dips ()) () in
+  let blast = collect_blast ~plan ~dips:(w.dips ()) () in
   let outcome =
     { drill;
       slo_class;
@@ -420,23 +460,22 @@ let drill_harness ~drill ~slo_class ~plan ~fault_horizon ?(extra_timeout = 600.)
 
 (* Compound: a mux restart with a wire partition opening mid-downtime
    and a short emulation partition nested inside that window. *)
+let compound_plan =
+  Plan.of_steps
+    [ { Plan.at = 1.0;
+        fault = Plan.Mux_crash { mux = "mux:gatech01"; downtime = 20.0 }
+      };
+      { Plan.at = 8.0;
+        fault = Plan.Partition { link = "link:usc01"; duration = 25.0 }
+      };
+      { Plan.at = 10.0;
+        fault = Plan.Partition { link = "link:emu:fra-ams"; duration = 5.0 }
+      }
+    ]
+
 let compound_drill ?on_world ~seed () =
-  let plan =
-    Plan.of_steps
-      [ { Plan.at = 1.0;
-          fault = Plan.Mux_crash { mux = "mux:gatech01"; downtime = 20.0 }
-        };
-        { Plan.at = 8.0;
-          fault = Plan.Partition { link = "link:usc01"; duration = 25.0 }
-        };
-        { Plan.at = 10.0;
-          fault =
-            Plan.Partition { link = "link:emu:fra-ams"; duration = 5.0 }
-        }
-      ]
-  in
   let w, o =
-    drill_harness ~drill:"compound" ~slo_class:"compound" ~plan
+    drill_harness ~drill:"compound" ~slo_class:"compound" ~plan:compound_plan
       ~fault_horizon:34.0 ?on_world ~seed ()
   in
   let gatech_reach =
@@ -449,6 +488,39 @@ let compound_drill ?on_world ~seed () =
          again"
         gatech_reach
   }
+
+(* A 2 Hz probe stream for 30 s from the probe client to each of
+   [sites]' mux nodes. [verdict ()] is [(lost, sent, plausible)]:
+   probes are lost, but only inside one [duration]-second blackhole
+   window per site (at most 2 * duration + 2 probes each).
+   [last_delivery ()] is the virtual time the latest probe landed. *)
+let probe_stream sites ~duration =
+  let sent = ref 0 and delivered = ref 0 and last = ref neg_infinity in
+  let body w =
+    List.iter
+      (fun site ->
+        Forwarder.on_deliver w.fwd (mux_node site) (fun _ ->
+            incr delivered;
+            last := Engine.now w.eng))
+      sites;
+    for i = 0 to 59 do
+      Engine.schedule w.eng
+        ~delay:(0.5 *. float_of_int i)
+        (fun () ->
+          List.iter
+            (fun site ->
+              incr sent;
+              Forwarder.inject w.fwd ~at:client_node
+                (Packet.make ~src:client_addr ~dst:(tunnel_addr site) ()))
+            sites)
+    done
+  in
+  let verdict () =
+    let lost = !sent - !delivered in
+    let max_lost = List.length sites * (2 * int_of_float duration + 2) in
+    (lost, !sent, !delivered > 0 && lost > 0 && lost <= max_lost)
+  in
+  (body, verdict, fun () -> !last)
 
 (* Fate group: every site tunnel blackholes at the same instant (one
    conduit cut), watched by a 2 Hz probe stream per tunnel. *)
@@ -470,48 +542,17 @@ let fate_group_drill ?on_world ~seed () =
         }
       ]
   in
-  let sent = ref 0 in
-  let delivered = Hashtbl.create 4 in
-  let body w =
-    List.iter
-      (fun site ->
-        Hashtbl.replace delivered site 0;
-        Forwarder.on_deliver w.fwd (mux_node site) (fun _ ->
-            Hashtbl.replace delivered site
-              (1 + Hashtbl.find delivered site)))
-      university_sites;
-    let client_addr = Ipv4.of_octets 10 9 9 1 in
-    for i = 0 to 59 do
-      Engine.schedule w.eng
-        ~delay:(0.5 *. float_of_int i)
-        (fun () ->
-          List.iteri
-            (fun j _site ->
-              incr sent;
-              Forwarder.inject w.fwd ~at:client_node
-                (Packet.make ~src:client_addr
-                   ~dst:(Ipv4.of_octets 184 164 (224 + j) 1)
-                   ()))
-            university_sites)
-    done
-  in
+  let body, verdict, _ = probe_stream university_sites ~duration in
   let _w, o =
     drill_harness ~drill:"fate_group" ~slo_class:"fate_group" ~plan
       ~fault_horizon:(5.0 +. duration) ~body ?on_world ~seed ()
   in
-  let total_delivered =
-    Hashtbl.fold (fun _ n acc -> acc + n) delivered 0
-  in
-  let lost = !sent - total_delivered in
-  (* Each tunnel loses ~2 Hz x 12 s of probes; everything outside the
-     shared window must land. *)
-  let expected_max = 3 * 26 in
-  let plausible = total_delivered > 0 && lost > 0 && lost <= expected_max in
+  let lost, sent, plausible = verdict () in
   { o with
     reconverged = o.reconverged && plausible;
     detail =
       Printf.sprintf "%d/%d probes blackholed across %d tunnels in one group"
-        lost !sent (List.length university_sites)
+        lost sent (List.length university_sites)
   }
 
 (* Cascade: two mux crashes overlap; mid-partition the gatech client
@@ -567,51 +608,9 @@ let cascade_drill ?on_world ~seed () =
    is the measured blast radius; clearing the leaks must restore the
    valley-free baseline exactly. *)
 let leak_storm_drill ?on_world ~seed () =
-  Span.reset ();
-  Sink.start_flight_recorder ();
-  let w = make_world ?on_world ~seed () in
-  let sample, dips = make_dip_tracker w in
-  let g = Testbed.graph w.tb in
-  (* Deterministic leakers: the first ASes (ascending) with at least
-     two providers each leak to their second provider. *)
-  let leak_edges =
-    let rec pick acc n = function
-      | [] -> List.rev acc
-      | _ when n = 0 -> List.rev acc
-      | asn :: rest -> (
-        match As_graph.providers g asn with
-        | _ :: second :: _ -> pick ((asn, second) :: acc) (n - 1) rest
-        | _ -> pick acc n rest)
-    in
-    pick [] 3 (As_graph.ases g)
-  in
-  let fault_start = Engine.now w.eng in
-  let polluted = ref 0 in
-  (* The storm is not an injector fault (it rewires propagation, not a
-     registered target), so the drill roots the span itself, exactly
-     like Injector.apply does. *)
-  Span.with_span
-    ~time:(fun () -> Engine.now w.eng)
-    ~attrs:
-      [ ("target", "leak-edges");
-        ( "fault",
-          Printf.sprintf "route-leak storm on %d edges"
-            (List.length leak_edges) )
-      ]
-    "fault.inject"
-    (fun () ->
-      Testbed.set_leak_edges w.tb leak_edges;
-      polluted :=
-        List.fold_left
-          (fun acc (prefix, _) ->
-            match Testbed.result_for w.tb prefix with
-            | Some r -> acc + List.length (Propagation.polluted g r)
-            | None -> acc)
-          0 w.baseline);
-  sample ();
-  Engine.run_for w.eng 10.0;
-  Testbed.set_leak_edges w.tb [];
-  let residual =
+  let n_edges = ref 0 and polluted = ref 0 and residual = ref 0 in
+  let polluted_now w =
+    let g = Testbed.graph w.tb in
     List.fold_left
       (fun acc (prefix, _) ->
         match Testbed.result_for w.tb prefix with
@@ -619,28 +618,51 @@ let leak_storm_drill ?on_world ~seed () =
         | None -> acc)
       0 w.baseline
   in
-  let settled = wait_until w.eng (fun () -> world_recovered w) ~timeout:60.0 in
-  Sink.stop_flight_recorder ();
-  let recovery_s =
-    match settled with Some at -> at -. fault_start | None -> Float.nan
+  let body w =
+    let g = Testbed.graph w.tb in
+    (* Deterministic leakers: the first ASes (ascending) with at least
+       two providers each leak to their second provider. *)
+    let leak_edges =
+      let rec pick acc n = function
+        | [] -> List.rev acc
+        | _ when n = 0 -> List.rev acc
+        | asn :: rest -> (
+          match As_graph.providers g asn with
+          | _ :: second :: _ -> pick ((asn, second) :: acc) (n - 1) rest
+          | _ -> pick acc n rest)
+      in
+      pick [] 3 (As_graph.ases g)
+    in
+    n_edges := List.length leak_edges;
+    (* The storm is not an injector fault (it rewires propagation, not
+       a registered target), so the drill roots the span itself,
+       exactly like Injector.apply does. *)
+    Span.with_span
+      ~time:(fun () -> Engine.now w.eng)
+      ~attrs:
+        [ ("target", "leak-edges");
+          ("fault", Printf.sprintf "route-leak storm on %d edges" !n_edges)
+        ]
+      "fault.inject"
+      (fun () ->
+        Testbed.set_leak_edges w.tb leak_edges;
+        polluted := polluted_now w);
+    w.sample ();
+    Engine.run_for w.eng 10.0;
+    Testbed.set_leak_edges w.tb [];
+    residual := polluted_now w
   in
-  let reconverged = settled <> None && residual = 0 in
-  if reconverged then
-    Metrics.Histogram.observe (recovery_hist "leak_storm") recovery_s;
-  { drill = "leak_storm";
-    slo_class = "leak_storm";
-    injected =
-      [ Printf.sprintf "route-leak storm on %d edges" (List.length leak_edges)
-      ];
-    reconverged;
-    recovery_s;
-    routes_lost = routes_lost w;
-    tenant_reaches = [];
-    blast = collect_blast ~dips:(dips ()) ();
+  let _w, o =
+    drill_harness ~drill:"leak_storm" ~slo_class:"leak_storm" ~plan:[]
+      ~fault_horizon:0.0 ~extra_timeout:60.0 ~body ?on_world ~seed ()
+  in
+  { o with
+    injected = [ Printf.sprintf "route-leak storm on %d edges" !n_edges ];
+    reconverged = o.reconverged && !residual = 0;
     detail =
       Printf.sprintf
         "%d polluted AS-routes at storm peak; %d after clearing" !polluted
-        residual
+        !residual
   }
 
 (* Multi-tenant compound: the compound fault plan fired under 20
@@ -649,97 +671,194 @@ let leak_storm_drill ?on_world ~seed () =
    predicate AND every tenant's per-prefix reach back at its own
    baseline — the per-tenant zero-routes-lost SLO. *)
 let multi_tenant_drill ?on_world ~seed () =
-  Span.reset ();
-  Sink.start_flight_recorder ();
-  let w = make_world ?on_world ~seed () in
   let n_tenants = 20 in
-  let sched = Scheduler.create ~quota:4 ~round_interval:0.5 w.tb in
-  for i = 0 to n_tenants - 1 do
-    let tenant = Printf.sprintf "exp-%02d" i in
-    match Scheduler.admit sched (Scheduler.proposal tenant) with
-    | Scheduler.Admitted _ -> ()
-    | Scheduler.Rejected issues ->
-      invalid_arg
-        (Printf.sprintf "Campaign: tenant %s rejected: %s" tenant
-           (String.concat "; "
-              (List.map (fun i -> i.Scheduler.issue_message) issues)))
-  done;
-  List.iter
-    (fun tenant ->
-      List.iter
-        (fun p ->
-          match Scheduler.request_announce sched ~tenant p with
-          | Ok () -> ()
-          | Error e -> invalid_arg ("Campaign: " ^ e))
-        (Scheduler.leased_prefixes sched tenant))
-    (Scheduler.tenants sched);
-  ignore (Scheduler.pump sched);
-  let tenant_baseline =
-    List.map
+  let tenant_baseline = ref [] in
+  let setup w =
+    let sched = Scheduler.create ~quota:4 ~round_interval:0.5 w.tb in
+    for i = 0 to n_tenants - 1 do
+      let tenant = Printf.sprintf "exp-%02d" i in
+      match Scheduler.admit sched (Scheduler.proposal tenant) with
+      | Scheduler.Admitted _ -> ()
+      | Scheduler.Rejected issues ->
+        invalid_arg
+          (Printf.sprintf "Campaign: tenant %s rejected: %s" tenant
+             (String.concat "; "
+                (List.map (fun i -> i.Scheduler.issue_message) issues)))
+    done;
+    List.iter
       (fun tenant ->
-        let p = List.hd (Scheduler.leased_prefixes sched tenant) in
-        (tenant, p, Testbed.reach_count w.tb p))
-      (Scheduler.tenants sched)
+        List.iter
+          (fun p ->
+            match Scheduler.request_announce sched ~tenant p with
+            | Ok () -> ()
+            | Error e -> invalid_arg ("Campaign: " ^ e))
+          (Scheduler.leased_prefixes sched tenant))
+      (Scheduler.tenants sched);
+    ignore (Scheduler.pump sched);
+    tenant_baseline :=
+      List.map
+        (fun tenant ->
+          let p = List.hd (Scheduler.leased_prefixes sched tenant) in
+          (tenant, p, Testbed.reach_count w.tb p))
+        (Scheduler.tenants sched)
   in
-  let tenants_recovered () =
+  let recovered w =
     List.for_all
       (fun (_, p, base) -> Testbed.reach_count w.tb p = base)
-      tenant_baseline
+      !tenant_baseline
   in
-  let sample, dips = make_dip_tracker w in
-  let fault_horizon = 34.0 in
-  let plan =
-    Plan.of_steps
-      [ { Plan.at = 1.0;
-          fault = Plan.Mux_crash { mux = "mux:gatech01"; downtime = 20.0 }
-        };
-        { Plan.at = 8.0;
-          fault = Plan.Partition { link = "link:usc01"; duration = 25.0 }
-        };
-        { Plan.at = 10.0;
-          fault = Plan.Partition { link = "link:emu:fra-ams"; duration = 5.0 }
-        }
-      ]
+  let w, o =
+    drill_harness ~drill:"multi_tenant" ~slo_class:"multi_tenant"
+      ~plan:compound_plan ~fault_horizon:34.0 ~setup ~recovered ?on_world
+      ~seed ()
   in
-  let fault_start = Engine.now w.eng in
-  Injector.arm w.inj plan;
-  let settled =
-    wait_until w.eng
-      (fun () ->
-        sample ();
-        Engine.now w.eng >= fault_start +. fault_horizon
-        && world_recovered w && tenants_recovered ())
-      ~timeout:(fault_horizon +. 600.0)
-  in
-  Sink.stop_flight_recorder ();
-  let recovery_s =
-    match settled with Some at -> at -. fault_start | None -> Float.nan
-  in
-  let reconverged = settled <> None in
-  if reconverged then
-    Metrics.Histogram.observe (recovery_hist "multi_tenant") recovery_s;
   let tenant_reaches =
     List.map
       (fun (tenant, p, base) -> (tenant, base, Testbed.reach_count w.tb p))
-      tenant_baseline
+      !tenant_baseline
   in
   let tenant_lost =
     List.fold_left
       (fun acc (_, base, final) -> acc + max 0 (base - final))
       0 tenant_reaches
   in
-  { drill = "multi_tenant";
-    slo_class = "multi_tenant";
-    injected = List.map (fun (s : Plan.step) -> Plan.describe s.fault) plan;
-    reconverged;
-    recovery_s;
-    routes_lost = routes_lost w + tenant_lost;
+  { o with
+    routes_lost = o.routes_lost + tenant_lost;
     tenant_reaches;
-    blast = collect_blast ~plan ~dips:(dips ()) ();
     detail =
       Printf.sprintf
         "%d concurrent scheduled experiments; per-tenant reach restored: %b"
         (List.length tenant_reaches) (tenant_lost = 0)
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Single-fault drills: one fault class each, on gatech01's wire
+   session, mux or tunnel *)
+
+let gatech_wire w = List.find (fun x -> x.wire_site = "gatech01") w.wires
+
+let single_step at fault = Plan.of_steps [ { Plan.at; fault } ]
+
+(* Impair the gatech01 wire with [profile] for [duration] seconds. *)
+let impair_drill ~drill profile ~duration ?on_world ~seed () =
+  let plan =
+    single_step 0.5
+      (Plan.Impair { link = "link:gatech01"; profile; duration })
+  in
+  let w, o =
+    drill_harness ~drill ~slo_class:"impair" ~plan
+      ~fault_horizon:(0.5 +. duration) ?on_world ~seed ()
+  in
+  { o with
+    detail =
+      Printf.sprintf "sessions established %d times"
+        (Fsm.established_count
+           (Session.a (gatech_wire w).wire_session).Session.fsm)
+  }
+
+(* Take the gatech01 session down with [fault]. Its routers run RFC
+   4724 graceful restart, so neither table may lose a route at any
+   step of the outage. *)
+let retention_drill ~drill ~slo_class fault ~fault_horizon ?on_world ~seed ()
+    =
+  let min_table = ref max_int in
+  let watch w =
+    let x = gatech_wire w in
+    min_table :=
+      min !min_table
+        (min (Router.table_size x.wr1) (Router.table_size x.wr2))
+  in
+  let w, o =
+    drill_harness ~drill ~slo_class ~plan:(single_step 0.0 fault)
+      ~fault_horizon ~watch ?on_world ~seed ()
+  in
+  let full = (gatech_wire w).wire_full in
+  let retained = !min_table >= full in
+  { o with
+    reconverged = o.reconverged && retained;
+    detail =
+      (if retained then "routes retained throughout the outage (RFC 4724)"
+       else
+         Printf.sprintf "retention failed: table dipped to %d of %d"
+           !min_table full)
+  }
+
+(* Crash gatech01's mux: a client announcing there meanwhile is
+   refused with Mux_down, and the restart re-exports every client
+   announcement the mux held (failover) without client involvement. *)
+let mux_crash_drill ?on_world ~seed () =
+  let downtime = 5.0 in
+  let plan =
+    single_step 1.0 (Plan.Mux_crash { mux = "mux:gatech01"; downtime })
+  in
+  let refused_down = ref false and restart_at = ref 0.0 in
+  let body w =
+    restart_at := Engine.now w.eng +. 1.0 +. downtime;
+    let a = List.hd w.anns in
+    Engine.schedule w.eng ~delay:2.0 (fun () ->
+        match
+          Client.announce a.ann_client ~servers:[ "gatech01" ] a.ann_prefix
+        with
+        | [ (_, Error Safety.Mux_down) ] -> refused_down := true
+        | _ -> ())
+  in
+  let w, o =
+    drill_harness ~drill:"mux_crash" ~slo_class:"mux_crash" ~plan
+      ~fault_horizon:(1.0 +. downtime) ~body ?on_world ~seed ()
+  in
+  let held =
+    List.filter_map
+      (fun a ->
+        if List.mem "gatech01" a.ann_sites then Some (Client.id a.ann_client)
+        else None)
+      w.anns
+  in
+  let reexported =
+    List.filter_map
+      (fun (sp : Span.completed) ->
+        if
+          sp.Span.name = "core.server.export"
+          && sp.Span.started >= !restart_at
+          && List.assoc_opt "site" sp.Span.attrs = Some "gatech01"
+        then List.assoc_opt "client" sp.Span.attrs
+        else None)
+      (Sink.flight_spans ())
+  in
+  let resynced = List.filter (fun c -> List.mem c reexported) held in
+  { o with
+    reconverged = o.reconverged && !refused_down && resynced = held;
+    detail =
+      Printf.sprintf
+        "refused at crashed mux: %b; %d of %d client announcements \
+         re-exported on restart"
+        !refused_down (List.length resynced) (List.length held)
+  }
+
+(* Blackhole gatech01's tunnel under a 2 Hz probe stream; the drill
+   recovers when a probe lands after the blackhole window. *)
+let blackhole_drill ?on_world ~seed () =
+  let duration = 10.0 in
+  let plan =
+    single_step 5.0
+      (Plan.Tunnel_blackhole { tunnel = "tun:gatech01"; duration })
+  in
+  let probes, verdict, last_delivery = probe_stream [ "gatech01" ] ~duration in
+  let window_end = ref 0.0 in
+  let body w =
+    window_end := Engine.now w.eng +. 5.0 +. duration;
+    probes w
+  in
+  let _w, o =
+    drill_harness ~drill:"blackhole" ~slo_class:"tunnel_blackhole" ~plan
+      ~fault_horizon:(5.0 +. duration) ~body
+      ~recovered:(fun _ -> last_delivery () > !window_end)
+      ?on_world ~seed ()
+  in
+  let lost, sent, plausible = verdict () in
+  { o with
+    reconverged = o.reconverged && plausible;
+    detail =
+      Printf.sprintf "%d/%d probes blackholed, delivery resumed" lost sent
   }
 
 (* Dampening sweep: the same seeded flap workload against a grid of
@@ -876,13 +995,16 @@ let drills =
   [ "compound"; "fate_group"; "cascade"; "leak_storm"; "dampening";
     "multi_tenant" ]
 
+(* [dampening] stands for the flap class here too; it keeps the seed
+   of its position in [drills]. *)
+let single_fault_drills =
+  [ "loss"; "duplicate"; "corrupt"; "reorder"; "reset"; "partition";
+    "mux_crash"; "blackhole"; "dampening" ]
+
 let drill_index name =
-  let rec go i = function
-    | [] -> invalid_arg (Printf.sprintf "Campaign: unknown drill %S" name)
-    | d :: _ when d = name -> i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 drills
+  match List.find_index (String.equal name) (drills @ single_fault_drills) with
+  | Some i -> i
+  | None -> invalid_arg (Printf.sprintf "Campaign: unknown drill %S" name)
 
 type report = {
   seed : int;
@@ -901,6 +1023,36 @@ let run_drill ?on_world ~seed name =
   | "leak_storm" -> (leak_storm_drill ?on_world ~seed (), [])
   | "dampening" -> dampening_drill ~seed
   | "multi_tenant" -> (multi_tenant_drill ?on_world ~seed (), [])
+  | "loss" ->
+    ( impair_drill ~drill:"loss" (Plan.lossy ~loss:0.30 ()) ~duration:30.0
+        ?on_world ~seed (),
+      [] )
+  | "duplicate" ->
+    ( impair_drill ~drill:"duplicate"
+        (Plan.lossy ~duplicate:0.50 ())
+        ~duration:20.0 ?on_world ~seed (),
+      [] )
+  | "corrupt" ->
+    ( impair_drill ~drill:"corrupt" (Plan.lossy ~corrupt:0.05 ())
+        ~duration:20.0 ?on_world ~seed (),
+      [] )
+  | "reorder" ->
+    ( impair_drill ~drill:"reorder"
+        (Plan.lossy ~reorder:0.50 ~reorder_max_delay:0.4 ())
+        ~duration:20.0 ?on_world ~seed (),
+      [] )
+  | "reset" ->
+    ( retention_drill ~drill:"reset" ~slo_class:"session_reset"
+        (Plan.Session_reset { link = "link:gatech01" })
+        ~fault_horizon:0.5 ?on_world ~seed (),
+      [] )
+  | "partition" ->
+    ( retention_drill ~drill:"partition" ~slo_class:"partition"
+        (Plan.Partition { link = "link:gatech01"; duration = 25.0 })
+        ~fault_horizon:25.0 ?on_world ~seed (),
+      [] )
+  | "mux_crash" -> (mux_crash_drill ?on_world ~seed (), [])
+  | "blackhole" -> (blackhole_drill ?on_world ~seed (), [])
   | s -> invalid_arg (Printf.sprintf "Campaign: unknown drill %S" s)
 
 let slo_verdicts slos =
@@ -923,6 +1075,8 @@ let slo_verdicts slos =
           })
     slos
 
+let is_compound d = List.mem d drills
+
 let run ?(seed = 42) ?(drills = drills) ?(slos = default_slos) () =
   (* Drill seeds derive from the position in the canonical drill list,
      so a single-drill run replays the very same world as the full
@@ -934,7 +1088,17 @@ let run ?(seed = 42) ?(drills = drills) ?(slos = default_slos) () =
   in
   let outcomes = List.map fst results in
   let sweep = List.concat_map snd results in
-  let slos = slo_verdicts slos in
+  (* A report judges the SLO classes of the drill set it draws from,
+     sampled or not, so a single-drill rerun reports the same classes
+     as its whole set. *)
+  let set_slos =
+    if List.for_all is_compound drills then compound_slos
+    else
+      List.filter (fun s -> s.slo_class = "dampening") compound_slos
+      @ single_fault_slos
+  in
+  let judged s = List.exists (fun t -> t.slo_class = s.slo_class) set_slos in
+  let slos = slo_verdicts (List.filter judged slos) in
   let zero_routes_lost =
     List.for_all (fun o -> o.routes_lost = 0) outcomes
   in

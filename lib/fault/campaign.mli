@@ -1,15 +1,17 @@
-(** Testbed-scale compound chaos campaigns.
+(** Fault drills on the testbed: one harness for every fault class.
 
-    Where {!Chaos} drills one fault class against a two-router
-    micro-world, a campaign drills {e correlated} and {e overlapping}
-    faults against the real default testbed ({!Peering_core.Testbed}):
-    every mux, a live upstream wire session per university site, a
-    tunnel per site, and a MinineXt-style emulated backbone are all
-    registered with one {!Injector}, and each drill holds the world to
-    two bars — a per-class recovery SLO (p99 of
-    [fault.recovery_s{class=…}] against a budget) and {e zero routes
-    lost} (every prefix's propagation reach returns exactly to its
-    pre-fault baseline).
+    Every drill runs against the real default testbed
+    ({!Peering_core.Testbed}): every mux, a live upstream wire session
+    per university site, a tunnel per site, and a MinineXt-style
+    emulated backbone are all registered with one {!Injector}. The
+    {e single-fault} drills ({!single_fault_drills}) inject one fault
+    class each; the {e compound} drills ({!drills}) inject correlated
+    and overlapping faults. Each drill holds the world to two bars — a
+    per-class recovery SLO (p99 of [fault.recovery_s{class=…}] against
+    a budget) and {e zero routes lost} (every prefix's propagation
+    reach returns exactly to its pre-fault baseline and every wire
+    session's tables are whole) — plus its own assertion, such as
+    graceful-restart retention or the probe loss window.
 
     Each drill runs under the span flight recorder: the injected
     faults root [fault.inject] traces, and the blast radius — which
@@ -18,11 +20,11 @@
     ({!Peering_obs.Blast}) plus per-prefix reach-dip windows sampled
     while the drill runs.
 
-    Determinism: drill [i] of the canonical {!drills} list seeds its
-    world with [campaign_seed + 101*i], spans are reset per drill, and
-    no wall-clock value enters the report, so two same-seed runs (and
-    a single-drill rerun of any campaign member) produce byte-identical
-    blast accounting. *)
+    Determinism: drill [i] of [drills @ single_fault_drills] seeds its
+    world with [seed + 101*i], spans are reset per drill, and no
+    wall-clock value enters the report, so two same-seed runs (and a
+    single-drill rerun of any member) produce byte-identical blast
+    accounting. *)
 
 (** {1 Blast-radius accounting} *)
 
@@ -56,7 +58,8 @@ type outcome = {
   recovery_s : float;  (** NaN when the drill never settled *)
   routes_lost : int;
       (** summed baseline-reach shortfall at drill end (scheduled
-          tenants included); 0 required *)
+          tenants included), plus routes missing from the wire
+          sessions' tables; 0 required *)
   tenant_reaches : (string * int * int) list;
       (** [(tenant, baseline reach, final reach)] per scheduled
           experiment, for drills that run the multi-tenant scheduler
@@ -96,7 +99,7 @@ type sweep_row = {
 (** {1 Running campaigns} *)
 
 val drills : string list
-(** The canonical drill names, in seed order: ["compound"] (mux
+(** The compound drill names, in seed order: ["compound"] (mux
     restart overlapping two partitions), ["fate_group"] (all site
     tunnels blackholed as one correlated group), ["cascade"]
     (overlapping mux crashes with a mid-outage client failover
@@ -106,6 +109,20 @@ val drills : string list
     20 concurrent {!Peering_core.Scheduler}-admitted experiments;
     recovery additionally requires every tenant's per-prefix reach
     back at its own baseline). *)
+
+val single_fault_drills : string list
+(** One drill per fault class, seeded after {!drills}: ["loss"],
+    ["duplicate"], ["corrupt"] and ["reorder"] impair gatech01's wire
+    session (class ["impair"]); ["reset"] and ["partition"] take it
+    down, and its graceful-restart tables must keep every route at
+    every step of the outage; ["mux_crash"] crashes gatech01's mux, a
+    client announcing there meanwhile must be refused with
+    [Mux_down], and the restart must re-export every client
+    announcement the mux held; ["blackhole"] blackholes gatech01's
+    tunnel under a 2 Hz probe stream, which may lose probes only
+    inside the blackhole window; ["dampening"], the compound set's
+    RFC 2439 sweep, stands for route flaps and keeps its seed. Plain
+    [peering_cli chaos] runs this list. *)
 
 val run_drill :
   ?on_world:(Peering_core.Testbed.t -> unit) ->
@@ -131,10 +148,10 @@ type report = {
 }
 
 val run : ?seed:int -> ?drills:string list -> ?slos:slo list -> unit -> report
-(** Run the named drills (default: all of {!drills}) and judge the
-    SLOs. Each drill derives its seed from its position in the
-    canonical list, so subsets replay the same worlds the full
-    campaign uses. The caller owns {!Peering_obs.Metrics.reset} — the
+(** Run the named drills (default: {!drills}) and judge the SLOs of
+    the classes they sampled. Each drill derives its seed from its
+    position in [drills @ single_fault_drills], so subsets replay the
+    same worlds the full sets use. The caller owns {!Peering_obs.Metrics.reset} — the
     CLI resets the registry first so same-seed reports are
     byte-identical regardless of process history. *)
 

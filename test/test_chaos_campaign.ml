@@ -1,8 +1,9 @@
-(* Acceptance harness for the compound chaos campaign (ISSUE 8): on
-   every seed, every drill of the canonical campaign must reconverge
-   with zero routes lost, meet its per-class p99 recovery SLO, and
-   produce a byte-identical report — blast-radius accounting included —
-   when replayed with the same seed. A single-drill rerun must also
+(* Acceptance harness for the chaos drills: on every seed, every drill
+   of the compound set and of the single-fault set must reconverge
+   with zero routes lost and meet its per-class p99 recovery SLO, and
+   the compound report must be byte-identical — blast-radius
+   accounting included — when replayed with the same seed (test_fault
+   replays the single-fault set). A single-drill rerun must also
    reproduce the full campaign's outcome for that drill exactly, since
    drill seeds derive from canonical positions, not run order.
 
@@ -26,18 +27,21 @@ let check label ok =
     Printf.printf "  FAIL %s\n" label
   end
 
-let run_report seed =
+let run_report ?drills seed =
   Metrics.reset ();
-  let r = Campaign.run ~seed () in
+  let r = Campaign.run ~seed ?drills () in
   (r, Json.to_string ~indent:2 (Campaign.to_json r))
 
-let exercise seed =
-  Printf.printf "seed %d:\n" seed;
-  let r, json1 = run_report seed in
-  let label fmt = Printf.ksprintf (fun s -> Printf.sprintf "[%d] %s" seed s) fmt in
+let label_of seed fmt =
+  Printf.ksprintf (fun s -> Printf.sprintf "[%d] %s" seed s) fmt
+
+(* Every drill of [r] reconverged with zero routes lost and a finite
+   recovery, every judged SLO is met, and the report passed. *)
+let check_report seed (r : Campaign.report) ~drills =
+  let label fmt = label_of seed fmt in
   check (label "every declared drill ran")
     (List.map (fun (o : Campaign.outcome) -> o.Campaign.drill) r.Campaign.outcomes
-    = Campaign.drills);
+    = drills);
   List.iter
     (fun (o : Campaign.outcome) ->
       check (label "%s reconverged" o.Campaign.drill) o.Campaign.reconverged;
@@ -56,7 +60,13 @@ let exercise seed =
         v.Campaign.met)
     r.Campaign.slos;
   check (label "zero routes lost overall") r.Campaign.zero_routes_lost;
-  check (label "campaign passed") r.Campaign.passed;
+  check (label "campaign passed") r.Campaign.passed
+
+let exercise seed =
+  Printf.printf "seed %d:\n" seed;
+  let r, json1 = run_report seed in
+  let label fmt = label_of seed fmt in
+  check_report seed r ~drills:Campaign.drills;
   (* The multi-tenant drill fires the compound plan under >= 20
      concurrent scheduler-admitted experiments; every tenant must end
      the drill with its per-prefix reach exactly at its own baseline
@@ -102,9 +112,14 @@ let exercise seed =
   in
   check (label "single-drill rerun reproduces the campaign outcome")
     (compare solo full_cascade = 0);
+  (* The single-fault drills, each with its own assertion (GR
+     retention, Mux_down refusal and failover re-export, the probe
+     loss window) folded into [reconverged]. *)
+  let single, _ = run_report ~drills:Campaign.single_fault_drills seed in
+  check_report seed single ~drills:Campaign.single_fault_drills;
   Printf.printf "  %d drills ok, %d SLO classes ok\n"
-    (List.length r.Campaign.outcomes)
-    (List.length r.Campaign.slos)
+    (List.length r.Campaign.outcomes + List.length single.Campaign.outcomes)
+    (List.length r.Campaign.slos + List.length single.Campaign.slos)
 
 let () =
   Printf.printf

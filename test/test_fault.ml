@@ -1,4 +1,4 @@
-(* Fault injection, graceful degradation and the chaos harness:
+(* Fault injection, graceful degradation and the chaos drills:
    deterministic plans, RFC 4724 retention, reconnect backoff, the
    dampening x flap interaction, and the streaming JSON writer. *)
 
@@ -8,7 +8,7 @@ module Metrics = Peering_obs.Metrics
 module Json = Peering_obs.Json
 module Plan = Peering_fault.Plan
 module Injector = Peering_fault.Injector
-module Chaos = Peering_fault.Chaos
+module Campaign = Peering_fault.Campaign
 module Router = Peering_router.Router
 module Session = Peering_bgp.Session
 module Fsm = Peering_bgp.Fsm
@@ -368,18 +368,32 @@ let test_fate_group_application () =
 
 (* ------------------------------------------------------------------ *)
 (* The dampening x flap interaction (RFC 2439 under a seeded flap
-   plan), asserted through the bgp.dampening.* counters. *)
+   workload), asserted through the bgp.dampening.* counters and the
+   dampening drill's sweep row at the default parameters. *)
 
 let test_dampening_flap_interaction () =
   let flaps0 = Metrics.counter_value "bgp.dampening.flaps" in
   let supp0 = Metrics.counter_value "bgp.dampening.suppressions" in
   let reuse0 = Metrics.counter_value "bgp.dampening.reuses" in
-  let o = Chaos.run_one ~seed:13 "flap" in
-  Alcotest.(check string) "classified as flap" "flap" o.Chaos.fault_class;
-  Alcotest.(check bool) "flap scenario reconverges" true o.Chaos.reconverged;
-  Alcotest.(check int) "no routes lost" 0 o.Chaos.routes_lost;
+  let o, sweep = Campaign.run_drill ~seed:13 "dampening" in
+  Alcotest.(check bool) "dampening drill reconverges" true
+    o.Campaign.reconverged;
+  Alcotest.(check int) "no routes lost" 0 o.Campaign.routes_lost;
+  let d = Peering_bgp.Dampening.default_params in
+  let row =
+    List.find
+      (fun (r : Campaign.sweep_row) ->
+        r.Campaign.half_life = d.Peering_bgp.Dampening.half_life
+        && r.Campaign.suppress_threshold = d.suppress_threshold
+        && r.Campaign.reuse_threshold = d.reuse_threshold)
+      sweep
+  in
   (* The default parameters need three flaps before the penalty crosses
      the suppress threshold (two decay to just under 2000). *)
+  Alcotest.(check int) "three flaps to suppression" 3
+    row.Campaign.flaps_to_suppression;
+  Alcotest.(check bool) "released at the default parameters" true
+    row.Campaign.released;
   Alcotest.(check bool) "at least three flaps counted" true
     (Metrics.counter_value "bgp.dampening.flaps" - flaps0 >= 3);
   Alcotest.(check bool) "the route was suppressed" true
@@ -388,32 +402,41 @@ let test_dampening_flap_interaction () =
     (Metrics.counter_value "bgp.dampening.reuses" - reuse0 >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Chaos determinism and the acceptance criteria. *)
+(* Chaos determinism and the acceptance criteria: the plain `chaos`
+   drill set, twice on one seed. *)
 
 let run_chaos seed =
   Metrics.reset ();
-  let outcomes = Chaos.run_all ~seed () in
-  (outcomes, Json.to_string ~indent:2 (Chaos.to_json ~seed outcomes))
+  let r = Campaign.run ~seed ~drills:Campaign.single_fault_drills () in
+  (r, Json.to_string ~indent:2 (Campaign.to_json r))
 
 let test_chaos_deterministic () =
-  let o1, j1 = run_chaos 11 in
+  let r, j1 = run_chaos 11 in
   let _, j2 = run_chaos 11 in
   Alcotest.(check string) "same seed, byte-identical report" j1 j2;
   Alcotest.(check (list string))
-    "every declared scenario ran" Chaos.scenarios
-    (List.map (fun o -> o.Chaos.scenario) o1);
+    "every declared drill ran" Campaign.single_fault_drills
+    (List.map (fun o -> o.Campaign.drill) r.Campaign.outcomes);
   List.iter
     (fun o ->
       Alcotest.(check bool)
-        (o.Chaos.scenario ^ " reconverged")
-        true o.Chaos.reconverged;
-      Alcotest.(check int) (o.Chaos.scenario ^ " routes lost") 0
-        o.Chaos.routes_lost;
+        (o.Campaign.drill ^ " reconverged")
+        true o.Campaign.reconverged;
+      Alcotest.(check int) (o.Campaign.drill ^ " routes lost") 0
+        o.Campaign.routes_lost;
       Alcotest.(check bool)
-        (o.Chaos.scenario ^ " recovery latency is finite")
+        (o.Campaign.drill ^ " recovery latency is finite")
         true
-        (Float.is_finite o.Chaos.recovery_s))
-    o1
+        (Float.is_finite o.Campaign.recovery_s))
+    r.Campaign.outcomes;
+  List.iter
+    (fun v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "SLO %s: p99 %.2fs within %.0fs"
+           v.Campaign.verdict_class v.Campaign.p99_s v.Campaign.budget_s)
+        true v.Campaign.met)
+    r.Campaign.slos;
+  Alcotest.(check bool) "passed" true r.Campaign.passed
 
 (* ------------------------------------------------------------------ *)
 (* The streaming JSON writer must be byte-identical to the tree
